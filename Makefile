@@ -9,9 +9,9 @@ GO ?= go
 .PHONY: ci fmt vet test race server-race build build-examples bench \
 	bench-json bench-engine bench-parallel bench-cluster bench-oscore \
 	accuracy accuracy-parallel golden golden-check fuzz-smoke \
-	telemetry-overhead cluster-e2e oscore-equivalence obs-smoke
+	telemetry-overhead cluster-e2e oscore-equivalence obs-smoke bench-test
 
-ci: fmt vet build-examples race golden-check fuzz-smoke telemetry-overhead obs-smoke cluster-e2e oscore-equivalence accuracy accuracy-parallel
+ci: fmt vet build-examples race golden-check bench-test fuzz-smoke telemetry-overhead obs-smoke cluster-e2e oscore-equivalence accuracy accuracy-parallel
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,13 @@ obs-smoke:
 # observable behavior (docs/PERFORMANCE.md, "The golden workflow").
 golden-check:
 	$(GO) test -run '^TestGoldenResults$$' -count=1 .
+
+# The repository benchmark's own tests, part of `make ci` (~10 s): all
+# four workload runners at the default seed, every result checked against
+# bench/testdata/digests.json. bench/ is a module of its own, so the
+# root's `go test ./...` never reaches it (bench/README.md).
+bench-test:
+	cd bench && $(GO) test -count=1 ./...
 
 # Regenerate the golden corpus from the current engine. ONLY for
 # intentional modeling changes — never to make a perf PR pass.

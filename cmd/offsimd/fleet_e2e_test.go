@@ -2,15 +2,35 @@ package main
 
 import (
 	"bytes"
-
 	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// lockedBuffer collects a child process's output. exec copies the
+// output from its own goroutine, so reads while the process runs must
+// hold the same lock as those writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // TestFleetLoadtestSLO is the out-of-process acceptance run: it builds
 // the real offsimd and loadtest binaries, boots a 3-replica fleet on
@@ -47,7 +67,7 @@ func TestFleetLoadtestSLO(t *testing.T) {
 		ln.Close()
 	}
 
-	var logs [n]bytes.Buffer
+	var logs [n]lockedBuffer
 	for i := 0; i < n; i++ {
 		var peers []string
 		for j, b := range bases {

@@ -348,8 +348,8 @@ func (c *Core) RunSegment(seg *trace.Segment) uint64 {
 	// but only records the references. The replay pass then issues them
 	// through the hierarchy in that recorded order, so every cache,
 	// directory and counter sees the identical access sequence. The split
-	// exists purely for locality: drawing touches the workload's Zipf
-	// guide/cdf tables, replaying touches the tag and directory arrays,
+	// exists purely for locality: drawing touches the shared Zipf guide
+	// and threshold tables, replaying touches the tag and directory arrays,
 	// and interleaving the two per-instruction made each evict the other.
 	ifCnt, memAcc := c.ifCnt, c.memAcc
 	interval, ratio := c.cfg.IFetchInterval, seg.MemRatio

@@ -3,11 +3,12 @@ package rng
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // lowerBound returns the smallest index i with cdf[i] >= u — the same
 // contract as sort.SearchFloat64s, hand-rolled so the comparison is not
-// behind a closure call on the simulator's hottest path.
+// behind a closure call. It is the reference a Zipf draw must match.
 func lowerBound(cdf []float64, u float64) int {
 	lo, hi := 0, len(cdf)
 	for lo < hi {
@@ -26,28 +27,62 @@ func lowerBound(cdf []float64, u float64) int {
 // workload footprints: a few cache lines absorb most references, with a
 // long cold tail, which is the reference behaviour reported for both user
 // and OS working sets.
+//
+// A draw returns lowerBound(cdf, u) for u = Source.Float64(), computed on
+// the Uint53 lattice without touching a float. A Zipf is immutable, so
+// one table serves every region, core and job with the same (n, s).
 type Zipf struct {
-	src *Source
-	cdf []float64 // cumulative probability per rank
-	// guide is an equi-probability bucket index over cdf: guide[k] is the
-	// smallest rank i with cdf[i] >= k/T where T = len(guide)-1. A draw
-	// only binary-searches within one bucket, which makes the expected
-	// search cost O(1) instead of O(log n) full-array probes. The result
-	// is index-identical to a lower-bound search over the whole cdf.
-	guide   []int32
-	buckets float64 // float64(len(guide) - 1)
+	// cut[i] = AtMost(cdf[i]), so cdf[i] >= u exactly when cut[i] >= m
+	// for the draw's lattice point m: the rank is the first i whose cut
+	// reaches m.
+	cut []uint64
+	// guide splits the lattice into 2^(53-shift) equal buckets; bucket
+	// k = m >> shift holds the draws in [k<<shift, (k+1)<<shift).
+	// guide[k] is the rank of the bucket's first point, shifted left
+	// one, with the low bit set when that rank also covers the bucket's
+	// last point, so every draw in the bucket resolves to it. Other
+	// buckets search the ranks up to the next bucket's first, which is
+	// why guide carries one extra entry.
+	guide []uint32
+	shift uint
 }
 
-// NewZipf constructs a Zipf sampler over n ranks with exponent s (> 0).
-// The construction cost is O(n); samplers are meant to be built once per
-// region at workload-setup time.
-func NewZipf(src *Source, n int, s float64) *Zipf {
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// zipfs memoizes samplers by (n, s). The workload profiles and the
+// syscall catalog fix every region's geometry, so the set of keys a
+// process ever builds stays small however many simulations it runs.
+var zipfs = struct {
+	sync.Mutex
+	m map[zipfKey]*Zipf
+}{m: map[zipfKey]*Zipf{}}
+
+// NewZipf returns the sampler over n ranks with exponent s (> 0). The
+// first call for an (n, s) builds it in O(n); later calls return the
+// same table.
+func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf with non-positive n")
 	}
-	if s <= 0 {
+	if !(s > 0) {
 		panic("rng: NewZipf with non-positive exponent")
 	}
+	key := zipfKey{n, s}
+	zipfs.Lock()
+	defer zipfs.Unlock()
+	z, ok := zipfs.m[key]
+	if !ok {
+		z = buildZipf(zipfCDF(n, s))
+		zipfs.m[key] = z
+	}
+	return z
+}
+
+// zipfCDF returns the cumulative probability of each rank.
+func zipfCDF(n int, s float64) []float64 {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -57,83 +92,73 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{src: src, cdf: cdf, guide: buildGuide(cdf), buckets: guideBuckets(cdf)}
+	return cdf
 }
 
-// guideBuckets picks the bucket count for a cdf: four buckets per rank,
-// so most buckets span a single rank and a draw resolves without any
-// binary-search iterations. Clamped so tiny samplers still work and huge
-// footprints do not pay unbounded index memory.
-func guideBuckets(cdf []float64) float64 {
-	t := 4 * len(cdf)
-	if t < 16 {
-		t = 16
+// guideBits picks log2 of the bucket count: at least four buckets per
+// rank, so most buckets lie inside one rank and resolve with one load.
+// Clamped so tiny samplers still work and huge footprints do not pay
+// unbounded index memory.
+func guideBits(n int) uint {
+	b := uint(4)
+	for b < 18 && 1<<b < 4*n {
+		b++
 	}
-	if t > 1<<18 {
-		t = 1 << 18
-	}
-	return float64(t)
+	return b
 }
 
-// buildGuide computes guide[k] = smallest i with cdf[i] >= k/T in one
-// pass over the cdf.
-func buildGuide(cdf []float64) []int32 {
-	t := int(guideBuckets(cdf))
-	guide := make([]int32, t+1)
+func buildZipf(cdf []float64) *Zipf {
+	n := len(cdf)
+	z := &Zipf{cut: make([]uint64, n), shift: 53 - guideBits(n)}
+	for i, c := range cdf {
+		z.cut[i] = AtMost(c)
+	}
+	buckets := 1 << (53 - z.shift)
+	z.guide = make([]uint32, buckets+1)
+	width := uint64(1) << z.shift
 	i := 0
-	for k := 0; k <= t; k++ {
-		thr := float64(k) / float64(t)
-		for i < len(cdf) && cdf[i] < thr {
+	for k := range z.guide {
+		first := uint64(k) << z.shift
+		for i < n-1 && z.cut[i] < first {
 			i++
 		}
-		if i >= len(cdf) {
-			guide[k] = int32(len(cdf) - 1)
-		} else {
-			guide[k] = int32(i)
+		e := uint32(i) << 1
+		if k < buckets && z.cut[i] >= first+width-1 {
+			e |= 1
 		}
+		z.guide[k] = e
 	}
-	return guide
+	return z
 }
 
 // N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
+func (z *Zipf) N() int { return len(z.cut) }
 
-// Draw returns a rank in [0, N()).
-func (z *Zipf) Draw() int {
-	return z.DrawFrom(z.src)
-}
-
-// DrawFrom draws a rank using the caller's stream instead of the
-// sampler's own. Trace generation uses this to charge every
-// per-reference draw to the consuming segment's private stream, so the
-// number of references one segment performs can never shift the
-// randomness any other segment sees.
+// DrawFrom draws a rank using the caller's stream. Trace generation
+// charges every per-reference draw to the consuming segment's private
+// stream, so the number of references one segment performs can never
+// shift the randomness any other segment sees.
 func (z *Zipf) DrawFrom(src *Source) int {
-	return z.drawAt(src.Float64())
+	return z.rank(src.Uint53())
 }
 
-// drawAt maps a uniform u in [0, 1) to its rank. It must return exactly
-// lowerBound(cdf, u).
-func (z *Zipf) drawAt(u float64) int {
-	// Rounding in u*T can land one bucket high, never low (u*T >= k
-	// exactly implies the rounded product >= k because integers in this
-	// range are representable). The bucket search plus the backtrack
-	// guard below therefore returns exactly lowerBound(cdf, u).
-	k := int(u * z.buckets)
-	if k > len(z.guide)-2 {
-		k = len(z.guide) - 2
+// rank maps the lattice point m to the first rank whose cut reaches it:
+// exactly lowerBound(cdf, m/2^53).
+func (z *Zipf) rank(m uint64) int {
+	k := m >> z.shift
+	e := z.guide[k]
+	lo := int(e >> 1)
+	if e&1 != 0 {
+		return lo
 	}
-	lo, hi := int(z.guide[k]), int(z.guide[k+1])
+	hi := int(z.guide[k+1] >> 1)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if z.cdf[mid] < u {
+		if z.cut[mid] < m {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
-	}
-	for lo > 0 && z.cdf[lo-1] >= u {
-		lo--
 	}
 	return lo
 }

@@ -71,9 +71,31 @@ func (s *Source) Int63() int64 {
 	return int64(s.Uint64() >> 1)
 }
 
-// Float64 returns a uniform float in [0, 1).
+// Float64 returns a uniform float in [0, 1): the lattice point
+// Uint53()/2^53.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+// Uint53 returns the next draw on the lattice Float64 maps onto [0, 1):
+// Float64 would have returned exactly Uint53()/2^53. Both conversions
+// are exact, so comparing a draw u = m/2^53 against a fixed x reduces to
+// an integer compare of m against x scaled by 2^53 (scaling by a power of
+// two is exact too):
+//
+//	u <= x  ⟺  m <= floor(x·2^53)  (AtMost)
+//	u <  x  ⟺  m <  ceil(x·2^53)   (Chance)
+//
+// The hot per-reference draws use these forms, which return exactly what
+// the float compares would.
+func (s *Source) Uint53() uint64 {
+	return s.Uint64() >> 11
+}
+
+// AtMost returns floor(x·2^53) for x >= 0: a draw satisfies
+// Float64() <= x exactly when its Uint53() <= AtMost(x).
+func AtMost(x float64) uint64 {
+	return uint64(math.Floor(x * (1 << 53)))
 }
 
 // Bool returns true with probability p.
@@ -85,6 +107,36 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Chance is Bool(p) for a p fixed ahead of time, resolved on the Uint53
+// lattice: NewChance(p).DrawFrom(src) returns what src.Bool(p) would and
+// leaves src at the same position, including Bool's no-draw cases for
+// p <= 0 and p >= 1 and a NaN p, which draws and returns false.
+type Chance struct {
+	cut  uint64 // a draw m succeeds when m < cut
+	draw bool   // false when the outcome needs no draw: then it is cut != 0
+}
+
+// NewChance precomputes the trial Bool(p).
+func NewChance(p float64) Chance {
+	switch {
+	case p <= 0:
+		return Chance{}
+	case p >= 1:
+		return Chance{cut: 1}
+	case p > 0: // p in (0, 1): u < p ⟺ m < ceil(p·2^53)
+		return Chance{cut: uint64(math.Ceil(p * (1 << 53))), draw: true}
+	}
+	return Chance{draw: true} // NaN: draws, and no m is below 0
+}
+
+// DrawFrom runs the trial on src.
+func (c Chance) DrawFrom(src *Source) bool {
+	if !c.draw {
+		return c.cut != 0
+	}
+	return src.Uint53() < c.cut
 }
 
 // Range returns a uniform integer in [lo, hi] inclusive. It panics if

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -189,11 +190,11 @@ func TestGeometricMean(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	s := New(31)
-	z := NewZipf(s, 100, 1.0)
+	z := NewZipf(100, 1.0)
 	counts := make([]int, 100)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[z.Draw()]++
+		counts[z.DrawFrom(s)]++
 	}
 	if counts[0] <= counts[50] {
 		t.Fatalf("Zipf rank 0 (%d) not hotter than rank 50 (%d)", counts[0], counts[50])
@@ -207,9 +208,9 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfBounds(t *testing.T) {
 	s := New(37)
-	z := NewZipf(s, 8, 1.2)
+	z := NewZipf(8, 1.2)
 	for i := 0; i < 10000; i++ {
-		v := z.Draw()
+		v := z.DrawFrom(s)
 		if v < 0 || v >= 8 {
 			t.Fatalf("Zipf draw out of range: %d", v)
 		}
@@ -271,36 +272,126 @@ func TestForkValMatchesFork(t *testing.T) {
 	}
 }
 
-// The guide-table Zipf search must be index-identical to a plain
-// lower-bound search over the full cdf for every draw, including the
-// u=0 and bucket-boundary edges — otherwise committed golden results
-// would shift.
+// A Zipf draw must return exactly lowerBound(cdf, u) for the u = m/2^53
+// that Float64 makes of the same draw, or committed golden results would
+// shift. Random draws cover the common case. The rank boundaries are
+// where a rounding slip in the lattice thresholds hides, so they are
+// driven one lattice point either side, as are the guide's bucket edges.
 func TestZipfGuideMatchesLowerBound(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 100, 1024, 70000} {
-		z := NewZipf(New(53), n, 1.01)
-		src := New(uint64(59 + n))
+	// For cdf in [0.25, 0.5), cdf·2^53 can be a half-integer: there
+	// ceil(cdf·2^53) as a threshold would disagree with the lower bound
+	// at one point in 2^53, too rarely for any golden run to notice.
+	halfIntegers := 0
+	for _, n := range []int{1, 2, 3, 7, 100, 1024, 4500, 70000} {
+		for _, s := range []float64{0.75, 0.9, 1.01} {
+			cdf := zipfCDF(n, s)
+			z := NewZipf(n, s)
+			check := func(m uint64) {
+				if m >= 1<<53 {
+					return
+				}
+				if got, want := z.rank(m), lowerBound(cdf, float64(m)/(1<<53)); got != want {
+					t.Fatalf("n=%d s=%v m=%d: lattice rank %d, lower bound %d", n, s, m, got, want)
+				}
+			}
+			src := New(uint64(59 + n))
+			for i := 0; i < 20000; i++ {
+				check(src.Uint53())
+			}
+			for _, c := range cdf {
+				scaled := c * (1 << 53)
+				b := uint64(math.Floor(scaled))
+				check(b - 1)
+				check(b)
+				check(b + 1)
+				if c >= 0.25 && c < 0.5 && scaled-math.Floor(scaled) == 0.5 {
+					halfIntegers++
+				}
+			}
+			for k := range z.guide {
+				first := uint64(k) << z.shift
+				check(first)
+				check(first - 1)
+			}
+			check(0)
+			check(1<<53 - 1)
+		}
+	}
+	if halfIntegers == 0 {
+		t.Fatal("no cdf value in [0.25, 0.5) scaled to a half-integer; the rounding edge went untested")
+	}
+}
+
+// Chance must be Bool for a fixed p: the same outcome on every draw and
+// the same stream position afterwards, including the p <= 0 and p >= 1
+// cases that consume no draw and NaN, which draws and fails.
+func TestChanceMatchesBool(t *testing.T) {
+	for _, p := range []float64{-1, 0, 0x1p-60, 0.03, 0.5, 0.96, 1 - 0x1p-53, 1, 2, math.NaN()} {
+		c := NewChance(p)
+		a, b := New(61), New(61)
 		for i := 0; i < 20000; i++ {
-			u := src.Float64()
-			want := lowerBound(z.cdf, u)
-			got := z.drawAt(u)
-			if got != want {
-				t.Fatalf("n=%d u=%v: guided search %d, lower bound %d", n, u, got, want)
+			if got, want := c.DrawFrom(a), b.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Chance %v, Bool %v", p, i, got, want)
+			}
+			if a.state != b.state {
+				t.Fatalf("p=%v draw %d: Chance left the stream at %#x, Bool at %#x", p, i, a.state, b.state)
 			}
 		}
-		// Boundary values: exact cdf entries and their neighbours.
-		for i, c := range z.cdf {
-			for _, u := range []float64{c, math.Nextafter(c, 0), math.Nextafter(c, 2)} {
-				if u < 0 || u >= 1 {
-					continue
-				}
-				if got, want := z.drawAt(u), lowerBound(z.cdf, u); got != want {
-					t.Fatalf("n=%d boundary i=%d u=%v: guided %d, lower bound %d", n, i, u, got, want)
-				}
+		if !c.draw || c.cut == 0 {
+			continue
+		}
+		// The lattice edge: the last success and the first failure.
+		for _, m := range []uint64{c.cut - 1, c.cut, c.cut + 1} {
+			if m >= 1<<53 {
+				continue
+			}
+			if got, want := m < c.cut, float64(m)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v m=%d: lattice %v, float %v", p, m, got, want)
 			}
 		}
-		if got, want := z.drawAt(0), lowerBound(z.cdf, 0); got != want {
-			t.Fatalf("n=%d u=0: guided %d, lower bound %d", n, got, want)
+	}
+}
+
+// AtMost must be the lattice form of u <= x at, and on either side of,
+// the threshold it returns.
+func TestAtMostMatchesFloat(t *testing.T) {
+	for _, x := range []float64{0, 0x1p-60, 0.1, 0.3, 1.0 / 3, 0.5, 0.6, 1 - 0x1p-53, 1} {
+		cut := AtMost(x)
+		for _, m := range []uint64{cut - 1, cut, cut + 1} {
+			if m >= 1<<53 {
+				continue
+			}
+			if got, want := m <= cut, float64(m)/(1<<53) <= x; got != want {
+				t.Fatalf("x=%v m=%d: lattice %v, float %v", x, m, got, want)
+			}
 		}
+	}
+}
+
+// NewZipf builds one table per (n, s) however many callers ask for it
+// at once, and a repeated call returns that table without allocating.
+func TestZipfTablesShared(t *testing.T) {
+	const callers = 8
+	got := make([]*Zipf, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = NewZipf(3001+i%2, 0.77)
+		}(i)
+	}
+	wg.Wait()
+	for i, z := range got {
+		if z != got[i%2] || z.N() != 3001+i%2 {
+			t.Fatalf("caller %d got another table for n=%d", i, 3001+i%2)
+		}
+	}
+	if NewZipf(3001, 0.78) == got[0] {
+		t.Fatal("NewZipf(3001, 0.78) returned the s=0.77 table")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { NewZipf(3001, 0.77) }); allocs != 0 {
+		t.Fatalf("repeated NewZipf allocated %v times per call", allocs)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"offloadsim/internal/core"
@@ -75,6 +78,49 @@ func TestDeterminism(t *testing.T) {
 	b := MustNew(cfg).Run()
 	if a.Throughput != b.Throughput || a.Cycles != b.Cycles || a.Offloads != b.Offloads {
 		t.Fatalf("identical configs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// Every job of a process draws from the same immutable Zipf tables
+// (rng.NewZipf memoizes them by size and exponent), so jobs running at
+// once share them. Several goroutines build and run apache, specjbb and
+// derby simulators concurrently; each Result must encode to the bytes a
+// sequential run of the same config produces. Under -race this also
+// checks that nothing writes a shared table after construction.
+func TestConcurrentJobsShareTables(t *testing.T) {
+	profs := []*workloads.Profile{workloads.Apache(), workloads.SPECjbb(), workloads.Derby()}
+	encode := func(r Result) ([]byte, error) { return json.Marshal(r) }
+	const copies = 3
+	got := make([][]byte, copies*len(profs))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := New(quickCfg(profs[i%len(profs)], policy.HardwarePredictor))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got[i], err = encode(s.Run()); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, p := range profs {
+		want, err := encode(MustNew(quickCfg(p, policy.HardwarePredictor)).Run())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < copies; c++ {
+			if !bytes.Equal(got[c*len(profs)+i], want) {
+				t.Fatalf("%s: concurrent run %d differs from the sequential run", p.Name, c)
+			}
+		}
 	}
 }
 

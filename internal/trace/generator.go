@@ -77,6 +77,8 @@ type Generator struct {
 	qhead int
 
 	callDepth int
+	callDown  rng.Chance // a call goes one window deeper (CallDepthBias)
+	interrupt rng.Chance // an interruptible syscall is interrupted (InterruptRate)
 	burstP    float64
 
 	Stats GenStats
@@ -89,16 +91,25 @@ func NewGenerator(prof *workloads.Profile, coreID int, kernel *KernelLayout, spa
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
+	// Take one src draw per region, in carving order, as
+	// NewKernelLayout does: src goes on to drive every segment
+	// parameter, so the draws taken here fix the whole segment sequence.
+	region := func(lines int, hotFrac, zipfS float64) *Region {
+		src.ForkVal()
+		return NewRegion(space, lines, hotFrac, zipfS)
+	}
 	g := &Generator{
-		prof:     prof,
-		coreID:   coreID,
-		regs:     isa.NewRegFile(),
-		src:      src,
-		mix:      src.Fork(),
-		kernel:   kernel,
-		userCode: NewRegion(space, prof.UserCodeLines, prof.HotFrac, prof.ZipfS, src.Fork()),
-		userData: NewRegion(space, prof.UserDataLines, prof.HotFrac, prof.ZipfS, src.Fork()),
-		shared:   NewRegion(space, prof.SharedLines, 0.8, 0.9, src.Fork()),
+		prof:      prof,
+		coreID:    coreID,
+		regs:      isa.NewRegFile(),
+		src:       src,
+		mix:       src.Fork(),
+		kernel:    kernel,
+		userCode:  region(prof.UserCodeLines, prof.HotFrac, prof.ZipfS),
+		userData:  region(prof.UserDataLines, prof.HotFrac, prof.ZipfS),
+		shared:    region(prof.SharedLines, 0.8, 0.9),
+		callDown:  rng.NewChance(prof.CallDepthBias),
+		interrupt: rng.NewChance(prof.InterruptRate),
 	}
 	weights := make([]float64, len(prof.Mix))
 	for i, m := range prof.Mix {
@@ -195,7 +206,7 @@ func (g *Generator) countFromRate(expected float64) int {
 func (g *Generator) windowTraps(burst int) (spills, fills int) {
 	calls := burst / g.prof.CallGrain
 	for i := 0; i < calls; i++ {
-		down := g.callDepth == 0 || g.src.Bool(g.prof.CallDepthBias)
+		down := g.callDepth == 0 || g.callDown.DrawFrom(g.src)
 		if down {
 			g.callDepth++
 			if g.regs.Save() == isa.WindowSpill {
@@ -221,8 +232,8 @@ func (g *Generator) userSegment(instrs int) Segment {
 		src:      g.mix.ForkVal(),
 	}
 	seg.setSources(
-		dataSource{region: g.userData, cum: 1 - g.prof.UserSharedFrac, writeFrac: g.prof.UserWriteFrac},
-		dataSource{region: g.shared, cum: g.prof.UserSharedFrac, writeFrac: sharedWrFrac},
+		dataSource{region: g.userData, weight: 1 - g.prof.UserSharedFrac, writeFrac: g.prof.UserWriteFrac},
+		dataSource{region: g.shared, weight: g.prof.UserSharedFrac, writeFrac: sharedWrFrac},
 	)
 	return seg
 }
@@ -267,21 +278,21 @@ func (g *Generator) trapSegment(id syscalls.ID) Segment {
 		// into user memory.
 		seg.MemRatio = trapMemRatio
 		seg.setSources(
-			dataSource{region: g.userData, cum: spec.UserDataFrac, writeFrac: 1.0},
-			dataSource{region: g.kernel.SysDataShared(id), cum: 1 - spec.UserDataFrac, writeFrac: kernelWrFrac},
+			dataSource{region: g.userData, weight: spec.UserDataFrac, writeFrac: 1.0},
+			dataSource{region: g.kernel.SysDataShared(id), weight: 1 - spec.UserDataFrac, writeFrac: kernelWrFrac},
 		)
 	case syscalls.FillTrap:
 		// Fills load the window back: reads from user memory.
 		seg.MemRatio = trapMemRatio
 		seg.setSources(
-			dataSource{region: g.userData, cum: spec.UserDataFrac, writeFrac: 0.0},
-			dataSource{region: g.kernel.SysDataShared(id), cum: 1 - spec.UserDataFrac, writeFrac: kernelWrFrac},
+			dataSource{region: g.userData, weight: spec.UserDataFrac, writeFrac: 0.0},
+			dataSource{region: g.kernel.SysDataShared(id), weight: 1 - spec.UserDataFrac, writeFrac: kernelWrFrac},
 		)
 	default: // TLB refill: page-table walks in kernel data
 		seg.MemRatio = tlbMemRatio
 		seg.setSources(
-			dataSource{region: g.kernel.SysDataShared(id), cum: 0.9, writeFrac: 0.1},
-			dataSource{region: g.userData, cum: 0.1, writeFrac: 0.0},
+			dataSource{region: g.kernel.SysDataShared(id), weight: 0.9, writeFrac: 0.1},
+			dataSource{region: g.userData, weight: 0.1, writeFrac: 0.0},
 		)
 	}
 	return seg
@@ -322,7 +333,7 @@ func (g *Generator) syscallSegment() Segment {
 	nominal := spec.SampleLength(argClass, g.src)
 	instrs := nominal
 	interrupted := false
-	if !spec.MasksInterrupts && g.regs.InterruptsEnabled() && g.src.Bool(g.prof.InterruptRate) {
+	if !spec.MasksInterrupts && g.regs.InterruptsEnabled() && g.interrupt.DrawFrom(g.src) {
 		// An external interrupt preempts the invocation and extends the
 		// privileged sequence (§III-A): geometric extension around the
 		// profile's mean.
@@ -347,7 +358,7 @@ func (g *Generator) syscallSegment() Segment {
 		MemRatio:      osMemRatio,
 		codeMain:      g.kernel.SysCode[id],
 		codeAlt:       g.kernel.CommonCode,
-		codeAltProb:   commonCodePct,
+		codeAltChance: rng.NewChance(commonCodePct),
 		src:           g.mix.ForkVal(),
 	}
 	extFrac := 0.0
@@ -355,15 +366,15 @@ func (g *Generator) syscallSegment() Segment {
 		extFrac = float64(instrs-nominal) / float64(instrs)
 		// Interrupt handler instructions fetch from IRQ code.
 		seg.codeAlt = g.kernel.IRQCode
-		seg.codeAltProb = commonCodePct + extFrac*(1-commonCodePct)
+		seg.codeAltChance = rng.NewChance(commonCodePct + extFrac*(1-commonCodePct))
 	}
 	kernelShare := 1 - spec.UserDataFrac
 	seg.setSources(
-		dataSource{region: g.kernel.SysDataClass(id, argClass), cum: (1 - extFrac) * kernelShare * 0.6, writeFrac: kernelWrFrac},
-		dataSource{region: g.kernel.SysDataShared(id), cum: (1 - extFrac) * kernelShare * 0.2, writeFrac: kernelWrFrac},
-		dataSource{region: g.kernel.CommonData, cum: (1 - extFrac) * kernelShare * 0.2, writeFrac: kernelWrFrac},
-		dataSource{region: g.shared, cum: (1 - extFrac) * spec.UserDataFrac, writeFrac: sharedWrFrac},
-		dataSource{region: g.kernel.IRQData, cum: extFrac, writeFrac: kernelWrFrac},
+		dataSource{region: g.kernel.SysDataClass(id, argClass), weight: (1 - extFrac) * kernelShare * 0.6, writeFrac: kernelWrFrac},
+		dataSource{region: g.kernel.SysDataShared(id), weight: (1 - extFrac) * kernelShare * 0.2, writeFrac: kernelWrFrac},
+		dataSource{region: g.kernel.CommonData, weight: (1 - extFrac) * kernelShare * 0.2, writeFrac: kernelWrFrac},
+		dataSource{region: g.shared, weight: (1 - extFrac) * spec.UserDataFrac, writeFrac: sharedWrFrac},
+		dataSource{region: g.kernel.IRQData, weight: extFrac, writeFrac: kernelWrFrac},
 	)
 	return seg
 }

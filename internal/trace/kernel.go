@@ -48,20 +48,29 @@ const (
 // NewKernelLayout carves the kernel footprint out of space. The hot-set
 // parameters are fixed: kernel code is highly reused (hot), kernel data
 // moderately so.
+//
+// Regions draw from their callers' streams and hold none of their own,
+// but the layout still forks src once per region, in carving order, so
+// that a caller that goes on drawing from src sees the sequence the
+// golden corpus pins.
 func NewKernelLayout(space *AddressSpace, src *rng.Source) *KernelLayout {
+	region := func(lines int, hotFrac, zipfS float64) *Region {
+		src.ForkVal()
+		return NewRegion(space, lines, hotFrac, zipfS)
+	}
 	k := &KernelLayout{
-		CommonCode: NewRegion(space, commonCodeLines, 0.9, 1.0, src.Fork()),
-		CommonData: NewRegion(space, commonDataLines, 0.8, 0.9, src.Fork()),
-		IRQCode:    NewRegion(space, irqCodeLines, 0.9, 1.0, src.Fork()),
-		IRQData:    NewRegion(space, irqDataLines, 0.7, 0.9, src.Fork()),
+		CommonCode: region(commonCodeLines, 0.9, 1.0),
+		CommonData: region(commonDataLines, 0.8, 0.9),
+		IRQCode:    region(irqCodeLines, 0.9, 1.0),
+		IRQData:    region(irqDataLines, 0.7, 0.9),
 	}
 	for _, spec := range syscalls.All() {
-		k.SysCode[spec.ID] = NewRegion(space, spec.CodeLines, 0.85, 1.0, src.Fork())
+		k.SysCode[spec.ID] = region(spec.CodeLines, 0.85, 1.0)
 		shared := int(float64(spec.DataLines) * sysDataSharedFrac)
 		if shared < 4 {
 			shared = 4
 		}
-		k.sysDataShared[spec.ID] = NewRegion(space, shared, 0.7, 0.9, src.Fork())
+		k.sysDataShared[spec.ID] = region(shared, 0.7, 0.9)
 		perClass := (spec.DataLines - shared) / spec.ArgClasses
 		if perClass < 4 {
 			perClass = 4
@@ -74,7 +83,7 @@ func NewKernelLayout(space *AddressSpace, src *rng.Source) *KernelLayout {
 			if lines < 4 {
 				lines = 4
 			}
-			regions[c] = NewRegion(space, lines, 0.7, 0.9, src.Fork())
+			regions[c] = region(lines, 0.7, 0.9)
 		}
 		k.sysDataClass[spec.ID] = regions
 	}

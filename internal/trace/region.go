@@ -49,34 +49,33 @@ type Region struct {
 	base  uint64
 	lines int
 
-	hotFrac float64
-	zipf    *rng.Zipf
-	src     *rng.Source
+	hot  rng.Chance // a reference goes to the hot subset
+	zipf *rng.Zipf
 }
 
 // NewRegion creates a region of the given line count. hotFrac of accesses
 // go to a Zipf(s)-distributed hot subset (a quarter of the region, at
-// least one line); the rest are uniform over the region.
-func NewRegion(space *AddressSpace, lines int, hotFrac, zipfS float64, src *rng.Source) *Region {
+// least one line); the rest are uniform over the region. A region holds
+// no stream: every reference draws from the caller's.
+func NewRegion(space *AddressSpace, lines int, hotFrac, zipfS float64) *Region {
 	if lines <= 0 {
 		panic(fmt.Sprintf("trace: NewRegion with %d lines", lines))
 	}
 	if hotFrac < 0 || hotFrac > 1 {
 		panic(fmt.Sprintf("trace: hotFrac %v out of [0,1]", hotFrac))
 	}
-	hot := lines / 4
-	if hot < 1 {
-		hot = 1
+	hotLines := lines / 4
+	if hotLines < 1 {
+		hotLines = 1
 	}
 	if zipfS <= 0 {
 		zipfS = 0.8
 	}
 	return &Region{
-		base:    space.Alloc(lines),
-		lines:   lines,
-		hotFrac: hotFrac,
-		zipf:    rng.NewZipf(src, hot, zipfS),
-		src:     src,
+		base:  space.Alloc(lines),
+		lines: lines,
+		hot:   rng.NewChance(hotFrac),
+		zipf:  rng.NewZipf(hotLines, zipfS),
 	}
 }
 
@@ -91,11 +90,6 @@ func (r *Region) Contains(lineAddr uint64) bool {
 	return lineAddr >= r.base && lineAddr < r.base+uint64(r.lines)
 }
 
-// Next returns the next referenced line address.
-func (r *Region) Next() uint64 {
-	return r.NextFrom(r.src)
-}
-
 // NextFrom draws the next referenced line address from the caller's
 // stream. Segments use this so that all per-reference randomness comes
 // from the segment's private stream: a segment that issues only a
@@ -104,7 +98,7 @@ func (r *Region) Next() uint64 {
 // therefore the rest of the trace — bit-identical to a fully detailed
 // execution.
 func (r *Region) NextFrom(src *rng.Source) uint64 {
-	if src.Bool(r.hotFrac) {
+	if r.hot.DrawFrom(src) {
 		return r.base + uint64(r.zipf.DrawFrom(src))
 	}
 	return r.base + uint64(src.Intn(r.lines))

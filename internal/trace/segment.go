@@ -36,10 +36,19 @@ func (k SegmentKind) String() string {
 // maxSources bounds the number of data-access targets per segment.
 const maxSources = 6
 
+// dataSource is one data-reference target as the generator weighs it.
 type dataSource struct {
 	region    *Region
-	cum       float64 // cumulative normalized weight
+	weight    float64
 	writeFrac float64
+}
+
+// dataPick is a dataSource normalized for drawing: a draw u picks the
+// first source whose cumulative normalized weight cum satisfies u <= cum.
+type dataPick struct {
+	region *Region
+	cut    uint64 // rng.AtMost(cum)
+	write  rng.Chance
 }
 
 // Segment is one schedulable unit of execution. OS segments carry the
@@ -66,13 +75,13 @@ type Segment struct {
 	// MemRatio is data references per instruction for this segment.
 	MemRatio float64
 
-	// code regions: ifetches come from codeMain, with codeAltProb
+	// code regions: ifetches come from codeMain, with codeAltChance
 	// directing a fraction to codeAlt (kernel common path or IRQ code).
-	codeMain    *Region
-	codeAlt     *Region
-	codeAltProb float64
+	codeMain      *Region
+	codeAlt       *Region
+	codeAltChance rng.Chance
 
-	sources  [maxSources]dataSource
+	sources  [maxSources]dataPick
 	nSources int
 
 	// src is the segment's private reference stream, held by value so
@@ -80,12 +89,12 @@ type Segment struct {
 	src rng.Source
 }
 
-// setSources normalizes weights into the cumulative form Draw uses.
-// Pairs are (region, weight, writeFrac); zero-weight entries are dropped.
+// setSources normalizes the weights into the cumulative form NextData
+// draws from; zero-weight entries are dropped.
 func (s *Segment) setSources(entries ...dataSource) {
 	total := 0.0
 	for _, e := range entries {
-		total += e.cum // cum carries the raw weight here
+		total += e.weight
 	}
 	if total <= 0 {
 		panic("trace: segment with no data sources")
@@ -93,30 +102,28 @@ func (s *Segment) setSources(entries ...dataSource) {
 	s.nSources = 0
 	acc := 0.0
 	for _, e := range entries {
-		if e.cum <= 0 {
+		if e.weight <= 0 {
 			continue
 		}
-		acc += e.cum / total
-		s.sources[s.nSources] = dataSource{region: e.region, cum: acc, writeFrac: e.writeFrac}
+		acc += e.weight / total
+		s.sources[s.nSources] = dataPick{region: e.region, cut: rng.AtMost(acc), write: rng.NewChance(e.writeFrac)}
 		s.nSources++
 	}
-	// Guard against floating-point shortfall on the last bucket.
-	s.sources[s.nSources-1].cum = 1.0
+	// Guard against floating-point shortfall on the last bucket: pin its
+	// cum to 1.0, which every draw satisfies.
+	s.sources[s.nSources-1].cut = rng.AtMost(1.0)
 }
 
 // NextData returns the next data reference of the segment: a line address
 // and whether it is a write.
 func (s *Segment) NextData() (lineAddr uint64, write bool) {
-	u := s.src.Float64()
-	for i := 0; i < s.nSources; i++ {
-		if u <= s.sources[i].cum {
+	m := s.src.Uint53()
+	for i := 0; ; i++ {
+		if m <= s.sources[i].cut {
 			src := &s.sources[i]
-			return src.region.NextFrom(&s.src), s.src.Bool(src.writeFrac)
+			return src.region.NextFrom(&s.src), src.write.DrawFrom(&s.src)
 		}
 	}
-	// Unreachable: the last cum is pinned to 1.0.
-	src := &s.sources[s.nSources-1]
-	return src.region.NextFrom(&s.src), s.src.Bool(src.writeFrac)
 }
 
 // BatchRefs converts the segment's length into whole reference counts
@@ -139,7 +146,7 @@ func (s *Segment) BatchRefs(ifInterval int, ifCarry int, dataCarry float64) (nIF
 
 // NextIFetch returns the next instruction-fetch line address.
 func (s *Segment) NextIFetch() uint64 {
-	if s.codeAlt != nil && s.src.Bool(s.codeAltProb) {
+	if s.codeAlt != nil && s.codeAltChance.DrawFrom(&s.src) {
 		return s.codeAlt.NextFrom(&s.src)
 	}
 	return s.codeMain.NextFrom(&s.src)

@@ -38,9 +38,10 @@ func TestAddressSpacePanicsOnZero(t *testing.T) {
 
 func TestRegionBounds(t *testing.T) {
 	var space AddressSpace
-	r := NewRegion(&space, 100, 0.7, 0.9, rng.New(1))
+	r := NewRegion(&space, 100, 0.7, 0.9)
+	src := rng.New(1)
 	for i := 0; i < 10000; i++ {
-		la := r.Next()
+		la := r.NextFrom(src)
 		if !r.Contains(la) {
 			t.Fatalf("region produced out-of-range line %#x", la)
 		}
@@ -49,11 +50,12 @@ func TestRegionBounds(t *testing.T) {
 
 func TestRegionHotSetSkew(t *testing.T) {
 	var space AddressSpace
-	r := NewRegion(&space, 1000, 0.8, 1.0, rng.New(2))
+	r := NewRegion(&space, 1000, 0.8, 1.0)
+	src := rng.New(2)
 	counts := map[uint64]int{}
 	const n = 50000
 	for i := 0; i < n; i++ {
-		counts[r.Next()]++
+		counts[r.NextFrom(src)]++
 	}
 	// The hottest line should absorb far more than a uniform share.
 	max := 0
