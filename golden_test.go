@@ -120,6 +120,16 @@ func goldenCases() []goldenCase {
 					sampled: true,
 					cfg:     pscfg,
 				})
+				// Four user cores sharing the one OS core on the serial
+				// engine: the only serial cell whose off-loads queue
+				// behind each other, so it pins the reservation queue's
+				// wait and mean-delay accounting byte-for-byte.
+				mcfg := cfg
+				mcfg.UserCores = 4
+				cases = append(cases, goldenCase{
+					name: fmt.Sprintf("%s_static100_multicore", wl),
+					cfg:  mcfg,
+				})
 				// Multi-OS-core cluster cells (docs/OSCORES.md). The K=2
 				// synchronous cell pins affinity routing, per-core queueing
 				// and backlog rebalancing; the K=4 async cell additionally
