@@ -9,9 +9,9 @@ GO ?= go
 .PHONY: ci fmt vet test race server-race build build-examples bench \
 	bench-json bench-engine bench-parallel bench-cluster bench-oscore \
 	accuracy accuracy-parallel golden golden-check fuzz-smoke \
-	telemetry-overhead cluster-e2e oscore-equivalence obs-smoke bench-test
+	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests
 
-ci: fmt vet build-examples race golden-check bench-test fuzz-smoke telemetry-overhead obs-smoke cluster-e2e oscore-equivalence accuracy accuracy-parallel
+ci: fmt vet build-examples race golden-check bench-test bench-digests fuzz-smoke telemetry-overhead obs-smoke cluster-e2e accuracy accuracy-parallel
 
 build:
 	$(GO) build ./...
@@ -91,14 +91,6 @@ bench-cluster:
 bench-parallel:
 	OFFLOADSIM_BENCH_PARALLEL=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -count=1 -v -timeout 30m .
 
-# Multi-OS-core K=1 equivalence gate, part of `make ci`: an enabled
-# K=1 synchronous cluster block must collapse to the classic
-# single-OS-core model — identical canonical key and byte-identical
-# Result JSON (docs/OSCORES.md). This is what keeps the cluster
-# subsystem from silently forking the legacy model's behavior.
-oscore-equivalence:
-	$(GO) test -run '^TestOSCoresK1Equivalence$$' -count=1 -v ./internal/sim/
-
 # Multi-OS-core trajectory: the cluster-size sweep (K={1,2,4} plus a
 # big/little async cell) on 4-user-core apache, into BENCH_oscore.json
 # with the off-load latency distribution from the event trace (records
@@ -140,6 +132,19 @@ golden-check:
 # root's `go test ./...` never reaches it (bench/README.md).
 bench-test:
 	cd bench && $(GO) test -count=1 ./...
+
+# Every default-seed digest, part of `make ci` (~20 s): one short run of
+# each engine workload. At seed 1 a run checks every job and sweep point
+# it issues against bench/testdata/digests.json and exits non-zero on a
+# mismatch, and even a 1-second window completes the whole digest set —
+# all six multicore shapes included, where bench-test covers two.
+# serve-open is left out: its jobs take the detailed-os engine path, and
+# at short windows its load-ladder sanity check errors.
+bench-digests:
+	@for w in detailed-os multicore sampled-sweep; do \
+		echo "bench-digests: $$w"; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Regenerate the golden corpus from the current engine. ONLY for
 # intentional modeling changes — never to make a perf PR pass.

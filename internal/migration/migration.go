@@ -149,20 +149,6 @@ func (o *OSCore) FreeAt() uint64 {
 	return min
 }
 
-// Utilization returns busy cycles as a fraction of the elapsed capacity
-// (horizon x contexts).
-func (o *OSCore) Utilization(horizon uint64) float64 {
-	if horizon == 0 {
-		return 0
-	}
-	o.ensure()
-	u := float64(o.BusyCycles.Value()) / (float64(horizon) * float64(len(o.freeAt)))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // ResetStats clears the accounting but keeps the busy horizon so
 // in-flight reservations stay consistent.
 func (o *OSCore) ResetStats() {

@@ -61,22 +61,6 @@ func TestReserveAfterIdleGap(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	var o OSCore
-	o.Reserve(0, 300)
-	o.Reserve(300, 200)
-	if got := o.Utilization(1000); got != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if o.Utilization(0) != 0 {
-		t.Fatal("zero horizon should report 0")
-	}
-	// Clamped at 1.
-	if o.Utilization(100) != 1 {
-		t.Fatal("utilization should clamp at 1")
-	}
-}
-
 func TestResetStatsKeepsHorizon(t *testing.T) {
 	var o OSCore
 	o.Reserve(0, 1000)
@@ -123,14 +107,5 @@ func TestZeroValueIsSingleSlot(t *testing.T) {
 func TestNewOSCoreClampsSlots(t *testing.T) {
 	if NewOSCore(0).Slots() != 1 || NewOSCore(-3).Slots() != 1 {
 		t.Fatal("non-positive slots not clamped")
-	}
-}
-
-func TestUtilizationScalesWithSlots(t *testing.T) {
-	o := NewOSCore(2)
-	o.Reserve(0, 500)
-	// 500 busy cycles over a 1000-cycle horizon with 2 contexts = 25%.
-	if got := o.Utilization(1000); got != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", got)
 	}
 }

@@ -272,3 +272,30 @@ func TestClusterStats(t *testing.T) {
 		t.Fatal("ResetStats left class counters")
 	}
 }
+
+// A one-queue cluster is the paper's single OS core: utilization is busy
+// cycles over the horizon, 0 without a horizon and clamped at 1.
+func TestClusterUtilization(t *testing.T) {
+	c := NewCluster(1, 1, Affinity{}, SymmetricSpeeds(1), false, 0, 1)
+	c.Reserve(0, syscalls.CatFile, 0, 300)
+	c.Reserve(0, syscalls.CatFile, 300, 200)
+	if got := c.Utilization(1000); got != 0.5 {
+		t.Fatalf("utilization = %v, want 0.5", got)
+	}
+	if c.Utilization(0) != 0 {
+		t.Fatal("zero horizon should report 0")
+	}
+	if c.Utilization(100) != 1 {
+		t.Fatal("utilization should clamp at 1")
+	}
+}
+
+// SMT contexts add capacity: the denominator is horizon x contexts.
+func TestClusterUtilizationScalesWithContexts(t *testing.T) {
+	c := NewCluster(1, 2, Affinity{}, SymmetricSpeeds(1), false, 0, 1)
+	c.Reserve(0, syscalls.CatFile, 0, 500)
+	// 500 busy cycles over a 1000-cycle horizon with 2 contexts = 25%.
+	if got := c.Utilization(1000); got != 0.25 {
+		t.Fatalf("utilization = %v, want 0.25", got)
+	}
+}

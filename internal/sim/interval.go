@@ -87,14 +87,6 @@ func (s *Simulator) probe() intervalProbe {
 		p.offloads[i] = ps.Offloads.Value()
 		p.overhead[i] = ps.OverheadCycles.Value()
 	}
-	if s.osCore != nil {
-		ol2 := s.sys.L2(s.osNode)
-		p.osL2Hits = ol2.Stats.Hits.Value()
-		p.osL2Acc = ol2.Stats.Accesses.Value()
-		p.osBusy = s.osQueue.BusyCycles.Value()
-		p.queueN = s.osQueue.QueueDelay.N()
-		p.queueSum = s.osQueue.QueueDelay.Sum()
-	}
 	if s.osc != nil {
 		for q := 0; q < s.osc.K(); q++ {
 			ol2 := s.sys.L2(s.osNode + q)
@@ -170,9 +162,6 @@ func (s *Simulator) setWarmingStride(on bool, stride int) {
 	osStride := s.cfg.Sampling.OSWarmStride
 	if osStride > stride {
 		osStride = stride
-	}
-	if s.osCore != nil {
-		s.osCore.SetWarming(on, osStride)
 	}
 	for _, oc := range s.osCores {
 		oc.SetWarming(on, osStride)

@@ -7,15 +7,17 @@ import (
 	"offloadsim/internal/trace"
 )
 
-// This file is the engine side of the multi-OS-core model
-// (Config.OSCores, internal/oscore, docs/OSCORES.md). clusterOffload
-// replaces the legacy single-queue off-load block of step() when the
-// cluster is built; the legacy path is untouched, so disabled configs
-// run byte-identically.
+// This file is the engine side of the OS-core model (Config.OSCores,
+// internal/oscore, docs/OSCORES.md). Every off-load-capable simulator
+// builds an oscore.Cluster: K=1 without an OSCores block, which is the
+// paper's single dedicated OS core, and clusterOffload prices every
+// off-load the serial engine issues against it. The parallel engine
+// defers its off-loads to the quantum barrier and books them on queue 0
+// (resolveOffloads); Validate keeps it to one OS core.
 //
-// Pricing. A synchronous off-load costs the issuing core the same round
-// trip as the legacy model — oneWay + wait + exec + oneWay — with exec
-// scaled by the serving core's speed factor. An asynchronous
+// Pricing. A synchronous off-load costs the issuing core the round trip
+// oneWay + wait + exec + oneWay, with exec scaled by the serving core's
+// speed factor (1 unless Asymmetry says otherwise). An asynchronous
 // (fire-and-forget) off-load costs the issuing core only the outbound
 // oneWay: the OS-side work overlaps user execution, following
 // Colagrande & Benini's observation that offload latency hides when the
@@ -46,7 +48,8 @@ func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 	q, _ := s.osc.Route(cat, arrival)
 
 	// Telemetry samples are read-only and taken around — never inside —
-	// the model's own calls (same discipline as the legacy path).
+	// the model's own calls, so the simulated outcome is identical with
+	// tracing on or off.
 	var backlog int
 	var missBase uint64
 	if u.trc != nil {
@@ -115,24 +118,31 @@ func (s *Simulator) reconcileAsync(u *userCtx, complete uint64, q int) {
 	}
 }
 
-// emitClusterOffload records one cluster off-load: dispatch, routed
-// enqueue (wait and observed backlog), execution on the serving core
-// with its cache warm-up cost, and — synchronous only — the return to
-// the issuing core. Async returns are emitted by reconcileAsync when
-// they actually land.
+// emitClusterOffload records one off-load: dispatch, routed enqueue
+// (wait and observed backlog), execution on the serving core with its
+// cache warm-up cost, and — synchronous only — the return to the
+// issuing core. Async returns are emitted by reconcileAsync when they
+// actually land. node indexes the issuing core's ring. Runs without an
+// OSCores block keep the single-OS-core event names (offload_queue,
+// offload_execute); cluster runs name the serving core (oscore_enqueue,
+// oscore_execute).
 func (s *Simulator) emitClusterOffload(node int, seg *trace.Segment,
 	dispatch, arrival, start, wait, scaled uint64, q, backlog int, missDelta uint64, async bool) {
+	enqueue, execute := telemetry.KindOffloadQueue, telemetry.KindOffloadExecute
+	if s.cfg.OSCores.Enabled {
+		enqueue, execute = telemetry.KindOSCoreEnqueue, telemetry.KindOSCoreExecute
+	}
 	oneWay := uint64(s.cfg.Migration.OneWay)
 	sys := int32(seg.Sys)
 	s.trc.Emit(node, telemetry.Event{
 		Time: dispatch, Kind: telemetry.KindOffloadDispatch, Sys: sys, Cycles: oneWay,
 	})
 	s.trc.Emit(node, telemetry.Event{
-		Time: arrival, Kind: telemetry.KindOSCoreEnqueue, Sys: sys,
+		Time: arrival, Kind: enqueue, Sys: sys,
 		Cycles: wait, Value: int64(backlog),
 	})
 	s.trc.Emit(node, telemetry.Event{
-		Time: start, Kind: telemetry.KindOSCoreExecute, Sys: sys,
+		Time: start, Kind: execute, Sys: sys,
 		Cycles: scaled, Value: int64(q),
 	})
 	s.trc.Emit(node, telemetry.Event{
@@ -147,20 +157,17 @@ func (s *Simulator) emitClusterOffload(node int, seg *trace.Segment,
 }
 
 // clusterMisses is OS core q's cumulative private-cache miss count (L1
-// I+D plus its L2) — the cluster counterpart of osMisses.
+// I+D plus its L2): the counter emitClusterOffload differences into
+// cache-warm-up events.
 func (s *Simulator) clusterMisses(q int) uint64 {
 	return s.osCores[q].MissCount() + s.sys.L2(s.osNode+q).Stats.Misses.Value()
 }
 
-// osSlotsTotal is the hardware-context capacity of the OS side: the
-// single queue's contexts in legacy mode, contexts x K in cluster mode,
-// 0 without an OS core.
+// osSlotsTotal is the hardware-context capacity of the OS side:
+// contexts x K, or 0 without an OS core.
 func (s *Simulator) osSlotsTotal() int {
-	switch {
-	case s.osQueue != nil:
-		return s.osQueue.Slots()
-	case s.osc != nil:
-		return s.osc.Contexts() * s.osc.K()
+	if s.osc == nil {
+		return 0
 	}
-	return 0
+	return s.osc.Contexts() * s.osc.K()
 }

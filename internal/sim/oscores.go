@@ -17,13 +17,14 @@ const MaxOSCores = 64
 
 // OSCores generalizes the paper's single dedicated OS core into a
 // cluster of K OS cores (Config.OSCores, internal/oscore,
-// docs/OSCORES.md). The zero value disables the cluster and keeps the
-// classic single-OS-core model; an enabled block with K=1, synchronous
-// dispatch, symmetric speed and no depth modulation describes exactly
-// that same model and canonicalizes back to disabled, so it shares
-// results, goldens and cache keys with legacy configs byte for byte.
+// docs/OSCORES.md). The zero value is the paper's model: a one-core
+// cluster with synchronous dispatch. An enabled block with K=1,
+// synchronous dispatch, symmetric speed and no depth modulation
+// describes exactly that same cluster and canonicalizes back to
+// disabled, so it shares results, goldens and cache keys with configs
+// that never mention OSCores, byte for byte.
 type OSCores struct {
-	// Enabled switches the off-load path to the K-core cluster model.
+	// Enabled applies the block's knobs to the OS-core cluster.
 	Enabled bool
 	// K is the OS-core count (default 1).
 	K int
@@ -64,7 +65,7 @@ func DefaultOSCores(k int) OSCores {
 
 // withDefaults fills zero fields of an enabled block and normalizes its
 // strings to canonical form; a disabled block normalizes to the zero
-// value. An enabled block that describes exactly the legacy model — one
+// value. An enabled block that describes exactly the default — one
 // synchronous full-speed OS core, no depth modulation — collapses to
 // disabled, so it canonicalizes, runs and caches identically to a config
 // that never mentioned OSCores. Must-parse canonicalization is safe for

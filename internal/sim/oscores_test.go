@@ -23,7 +23,7 @@ func TestOSCoresWithDefaults(t *testing.T) {
 	if got := (OSCores{K: 7, Async: true, DepthN: 3}).withDefaults(); got != (OSCores{}) {
 		t.Fatalf("disabled block kept fields: %+v", got)
 	}
-	// A K=1 synchronous symmetric block IS the legacy model.
+	// A K=1 synchronous symmetric block is the default single OS core.
 	for _, o := range []OSCores{
 		{Enabled: true},
 		{Enabled: true, K: 1},
@@ -32,10 +32,10 @@ func TestOSCoresWithDefaults(t *testing.T) {
 		{Enabled: true, K: 1, Rebalance: true},
 	} {
 		if got := o.withDefaults(); got != (OSCores{}) {
-			t.Errorf("%+v should collapse to the legacy model, got %+v", o, got)
+			t.Errorf("%+v should collapse to the disabled block, got %+v", o, got)
 		}
 	}
-	// Anything the legacy model cannot express stays enabled.
+	// Anything the default single OS core cannot express stays enabled.
 	for _, o := range []OSCores{
 		{Enabled: true, K: 2},
 		{Enabled: true, K: 1, Async: true},
@@ -43,7 +43,7 @@ func TestOSCoresWithDefaults(t *testing.T) {
 		{Enabled: true, K: 1, DepthN: 50},
 	} {
 		if got := o.withDefaults(); !got.Enabled {
-			t.Errorf("%+v collapsed but is not the legacy model", o)
+			t.Errorf("%+v collapsed but is not the default single OS core", o)
 		}
 	}
 	// Async pins the double-buffered default slot budget.
@@ -106,21 +106,22 @@ func TestOSCoresValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Parallel+OSCores accepted")
 	}
-	// ...but a block that collapses to the legacy model composes fine.
+	// ...but a block that collapses to the default composes fine.
 	cfg.OSCores = OSCores{Enabled: true, K: 1}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Parallel with collapsing OSCores rejected: %v", err)
 	}
 }
 
-// The load-bearing compatibility property: an enabled K=1 synchronous
-// block IS the legacy single-OS-core configuration — same canonical key,
-// same result bytes.
+// The cache-compatibility promise: an enabled K=1 synchronous block
+// describes the same one-OS-core cluster as a config without the block,
+// so both share one canonical key (and therefore cached results, golden
+// cells and bench digests).
 func TestOSCoresK1Equivalence(t *testing.T) {
-	legacy := oscoresCfg(policy.HardwarePredictor, OSCores{})
+	plain := oscoresCfg(policy.HardwarePredictor, OSCores{})
 	k1 := oscoresCfg(policy.HardwarePredictor, OSCores{Enabled: true, K: 1})
 
-	legacyKey, err := CanonicalKey(legacy)
+	plainKey, err := CanonicalKey(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +129,28 @@ func TestOSCoresK1Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacyKey != k1Key {
-		t.Fatalf("K=1 sync key %s != legacy key %s", k1Key, legacyKey)
+	if plainKey != k1Key {
+		t.Fatalf("K=1 sync key %s != key without OSCores %s", k1Key, plainKey)
 	}
+}
 
-	legacyJSON, err := json.Marshal(MustNew(legacy).Run())
-	if err != nil {
-		t.Fatal(err)
+// Without an OSCores block the Result reports the single queue's
+// running mean. The cluster's pooled Sum/N re-derives it as mean x n / n,
+// which lands one ulp away on this serial three-core config.
+func TestSingleOSCoreMeanQueueDelay(t *testing.T) {
+	cfg := DefaultConfig(workloads.SPECjbb())
+	cfg.UserCores = 3
+	cfg.Threshold = 100
+	cfg.WarmupInstrs = 200_000
+	cfg.MeasureInstrs = 500_000
+	s := MustNew(cfg)
+	r := s.Run()
+	qd := &s.osc.Queue(0).QueueDelay
+	if pooled := qd.Sum() / float64(qd.N()); pooled == qd.Mean() {
+		t.Fatalf("config no longer separates Sum/N from the running mean (%v); pick one that does", pooled)
 	}
-	k1JSON, err := json.Marshal(MustNew(k1).Run())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(legacyJSON) != string(k1JSON) {
-		t.Fatal("K=1 synchronous result differs from legacy result")
+	if r.MeanQueueDelay != qd.Mean() {
+		t.Fatalf("MeanQueueDelay = %v, want the queue's running mean %v", r.MeanQueueDelay, qd.Mean())
 	}
 }
 
@@ -161,7 +170,7 @@ func TestOSCoresCanonicalKeyDiscriminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen[baseKey] = "legacy"
+	seen[baseKey] = "disabled"
 	for _, v := range variants {
 		cfg := base
 		cfg.OSCores = v

@@ -21,6 +21,7 @@ import (
 
 	"offloadsim/internal/coherence"
 	"offloadsim/internal/parallel"
+	"offloadsim/internal/syscalls"
 	"offloadsim/internal/trace"
 )
 
@@ -109,12 +110,12 @@ func (s *Simulator) runQuantum(pr *parRuntime) {
 	}
 	t += pr.quantum
 
-	if s.osQueue != nil {
-		free := s.osQueue.FreeAt()
+	if s.osc != nil {
+		free := s.osc.Queue(0).FreeAt()
 		for i := range pr.freeAt {
 			pr.freeAt[i] = free
 		}
-		_, osCPI := s.osCore.CalibratedCPI()
+		_, osCPI := s.osCores[0].CalibratedCPI()
 		if osCPI <= 0 {
 			osCPI = defaultOSCPIEstimate
 		}
@@ -161,7 +162,7 @@ func (s *Simulator) stepParallel(u *userCtx, pr *parRuntime, i int) {
 		u.clock += uint64(d.Overhead)
 	}
 
-	if d.Offload && !s.cfg.InstrumentOnly && s.osCore != nil {
+	if d.Offload && !s.cfg.InstrumentOnly && s.osc != nil {
 		oneWay := uint64(s.cfg.Migration.OneWay)
 		arrival := u.clock + oneWay
 		execEst := uint64(float64(seg.Instrs)*pr.osCPI + 0.5)
@@ -201,6 +202,8 @@ func (s *Simulator) stepParallel(u *userCtx, pr *parRuntime, i int) {
 // the real OS core in (arrival, core, sequence) order — the order the
 // serial engine's reservation queue would have seen them — and replaces
 // each issuing core's estimated round trip with the resolved cost.
+// Validate rejects Parallel with an OSCores block, so the cluster has
+// one full-speed synchronous queue and every off-load books queue 0.
 func (s *Simulator) resolveOffloads(pr *parRuntime) {
 	pr.merged = pr.merged[:0]
 	for i := range pr.offloads {
@@ -232,11 +235,11 @@ func (s *Simulator) resolveOffloads(pr *parRuntime) {
 		var backlog int
 		var missBase uint64
 		if s.trc != nil {
-			backlog = s.osQueue.Backlog(ev.arrival)
-			missBase = s.osMisses()
+			backlog = s.osc.Backlog(0, ev.arrival)
+			missBase = s.clusterMisses(0)
 		}
-		execCycles := s.osCore.RunSegment(&ev.seg)
-		start, wait := s.osQueue.Reserve(ev.arrival, execCycles)
+		execCycles := s.osCores[0].RunSegment(&ev.seg)
+		start, wait := s.osc.Reserve(0, syscalls.CategoryOf(ev.seg.Sys), ev.arrival, execCycles)
 		total := oneWay + wait + execCycles + oneWay
 		u := s.users[ev.node]
 		u.core.AdjustIdle(int64(total) - int64(ev.est))
@@ -246,8 +249,8 @@ func (s *Simulator) resolveOffloads(pr *parRuntime) {
 			u.clock -= ev.est - total
 		}
 		if s.trc != nil {
-			s.emitOffload(int(ev.node), &ev.seg, ev.arrival-oneWay, ev.arrival,
-				start, wait, execCycles, total, backlog, s.osMisses()-missBase)
+			s.emitClusterOffload(int(ev.node), &ev.seg, ev.arrival-oneWay, ev.arrival,
+				start, wait, execCycles, 0, backlog, s.clusterMisses(0)-missBase, false)
 		}
 	}
 }

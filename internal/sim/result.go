@@ -89,9 +89,9 @@ type Result struct {
 	// quantum-synchronized parallel engine; nil for serial runs.
 	Parallel *ParallelProvenance `json:",omitempty"`
 
-	// OSCores records the per-core and per-class behaviour of a
-	// multi-OS-core run (Config.OSCores); nil for classic
-	// single-OS-core and baseline runs.
+	// OSCores records the per-core and per-class behaviour of a run
+	// with an enabled Config.OSCores block; nil for the default single
+	// OS core and for baseline runs.
 	OSCores *OSCoresProvenance `json:",omitempty"`
 }
 
@@ -255,15 +255,6 @@ func (s *Simulator) collect() Result {
 	r.UserL1DHit = stats.Ratio(l1dHits, l1dAcc)
 	r.OffloadRate = stats.Ratio(r.Offloads, r.OSEntries)
 
-	if s.osCore != nil {
-		r.HasOSCore = true
-		ol2 := s.sys.L2(s.osNode)
-		r.OSL2HitRate = ol2.Stats.HitRate()
-		r.OSCoreUtilization = s.osQueue.Utilization(maxElapsed)
-		r.OSBusyCycles = s.osQueue.BusyCycles.Value()
-		r.MeanQueueDelay = s.osQueue.QueueDelay.Mean()
-		r.MaxQueueDelay = s.osQueue.QueueDelay.Max()
-	}
 	if s.osc != nil {
 		r.HasOSCore = true
 		var osHits, osAcc uint64
@@ -276,11 +267,18 @@ func (s *Simulator) collect() Result {
 		r.OSCoreUtilization = s.osc.Utilization(maxElapsed)
 		r.OSBusyCycles = s.osc.BusyCycles()
 		delaySum, delayN, delayMax := s.osc.QueueDelay()
-		if delayN > 0 {
+		switch {
+		case !s.cfg.OSCores.Enabled:
+			// The single OS core reports its queue's running mean:
+			// Sum is mean x n, so Sum/N can land one ulp off it.
+			r.MeanQueueDelay = s.osc.Queue(0).QueueDelay.Mean()
+		case delayN > 0:
 			r.MeanQueueDelay = delaySum / float64(delayN)
 		}
 		r.MaxQueueDelay = delayMax
-		r.OSCores = s.oscoresProvenance(maxElapsed)
+		if s.cfg.OSCores.Enabled {
+			r.OSCores = s.oscoresProvenance(maxElapsed)
+		}
 	}
 	cs := &s.sys.Stats
 	r.C2CTransfers = cs.C2CTransfers.Value()

@@ -103,9 +103,9 @@ type Config struct {
 	// OSCores, when enabled, generalizes the single OS core into a
 	// cluster of K OS cores with per-syscall-class affinity routing,
 	// asymmetric core speeds and optional asynchronous dispatch (see
-	// internal/oscore and docs/OSCORES.md). Disabled by default; an
-	// enabled K=1 synchronous block is the legacy model and
-	// canonicalizes back to disabled.
+	// internal/oscore and docs/OSCORES.md). Disabled by default, which
+	// runs a one-core cluster; an enabled K=1 synchronous block
+	// describes that same cluster and canonicalizes back to disabled.
 	OSCores OSCores
 
 	// Seed drives all stochastic behaviour.
@@ -242,12 +242,13 @@ func (c *Config) Validate() error {
 	if err := c.OSCores.Validate(); err != nil {
 		return err
 	}
-	// The parallel engine's quantum barriers reconcile one OS core's
-	// reservations; multi-queue routing and async return slots would need
-	// their own cross-quantum reconciliation discipline. Reject the
-	// combination rather than silently approximate it. (A block that
-	// collapses to the legacy model — K=1, synchronous, symmetric — is
-	// fine: it runs the untouched single-OS-core path.)
+	// The parallel engine's quantum barriers reconcile the reservations
+	// of the cluster's first queue only; multi-queue routing, speed
+	// scaling and async return slots would need their own cross-quantum
+	// reconciliation discipline. Reject the combination rather than
+	// silently approximate it. (A block that collapses to the default —
+	// K=1, synchronous, symmetric — is the same config as no block and
+	// composes fine.)
 	if c.OSCores.withDefaults().Enabled && c.Parallel.Enabled {
 		return fmt.Errorf("sim: Parallel cannot be combined with OSCores")
 	}
@@ -296,18 +297,15 @@ type userCtx struct {
 
 // Simulator is one configured system ready to run.
 type Simulator struct {
-	cfg     Config
-	sys     *coherence.System
-	users   []*userCtx
-	osCore  *cpu.Core
-	osQueue *migration.OSCore
-	osNode  int
+	cfg    Config
+	sys    *coherence.System
+	users  []*userCtx
+	osNode int
 
-	// Multi-OS-core cluster state (Config.OSCores): the K OS cores at
-	// nodes osNode..osNode+K-1 and their routing/queueing runtime.
-	// Exactly one of (osCore, osQueue) and (osCores, osc) is non-nil in
-	// an off-load-capable simulator; legacy configs never build the
-	// cluster, so their code path is untouched.
+	// OS-side state of an off-load-capable simulator (nil otherwise):
+	// the K OS cores at nodes osNode..osNode+K-1 and their routing and
+	// queueing runtime. Without a Config.OSCores block K is 1 — the
+	// paper's single dedicated OS core.
 	osCores []*cpu.Core
 	osc     *oscore.Cluster
 
@@ -392,41 +390,31 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.users = append(s.users, ctx)
 	}
-	if cfg.offloadCapable() {
+	if k := cfg.clusterK(); k > 0 {
 		osCPU := cfg.CPU
 		if cfg.OSCPU != nil {
 			osCPU = *cfg.OSCPU
 		}
-		if cfg.OSCores.Enabled {
-			// Cluster mode: K OS cores at consecutive nodes, each with
-			// its own private hierarchy, sharing one routing fabric.
-			// Both strings passed Validate, so they must parse.
-			k := cfg.OSCores.K
-			aff, err := oscore.ParseAffinity(cfg.OSCores.Affinity, k)
-			if err != nil {
-				return nil, err
-			}
-			speeds, err := oscore.ParseAsymmetry(cfg.OSCores.Asymmetry, k)
-			if err != nil {
-				return nil, err
-			}
-			for q := 0; q < k; q++ {
-				oc, err := cpu.New(s.osNode+q, s.osNode+q, osCPU, sys)
-				if err != nil {
-					return nil, err
-				}
-				s.osCores = append(s.osCores, oc)
-			}
-			s.osc = oscore.NewCluster(k, cfg.OSCoreSlots, aff, speeds,
-				cfg.OSCores.Rebalance, cfg.OSCores.AsyncSlots, cfg.UserCores)
-		} else {
-			oc, err := cpu.New(s.osNode, s.osNode, osCPU, sys)
-			if err != nil {
-				return nil, err
-			}
-			s.osCore = oc
-			s.osQueue = migration.NewOSCore(cfg.OSCoreSlots)
+		// K OS cores at consecutive nodes, each with its own private
+		// hierarchy, sharing one routing fabric. Both strings passed
+		// Validate, so they must parse.
+		aff, err := oscore.ParseAffinity(cfg.OSCores.Affinity, k)
+		if err != nil {
+			return nil, err
 		}
+		speeds, err := oscore.ParseAsymmetry(cfg.OSCores.Asymmetry, k)
+		if err != nil {
+			return nil, err
+		}
+		for q := 0; q < k; q++ {
+			oc, err := cpu.New(s.osNode+q, s.osNode+q, osCPU, sys)
+			if err != nil {
+				return nil, err
+			}
+			s.osCores = append(s.osCores, oc)
+		}
+		s.osc = oscore.NewCluster(k, cfg.OSCoreSlots, aff, speeds,
+			cfg.OSCores.Rebalance, cfg.OSCores.AsyncSlots, cfg.UserCores)
 	}
 	return s, nil
 }
@@ -549,28 +537,6 @@ func (s *Simulator) step(u *userCtx) {
 
 	if d.Offload && !s.cfg.InstrumentOnly && s.osc != nil {
 		s.clusterOffload(u, seg)
-	} else if d.Offload && !s.cfg.InstrumentOnly && s.osCore != nil {
-		oneWay := uint64(s.cfg.Migration.OneWay)
-		dispatch := u.clock
-		arrival := dispatch + oneWay
-		// Telemetry samples are read-only and taken around — never
-		// inside — the model's own calls, so the simulated outcome is
-		// identical with tracing on or off.
-		var backlog int
-		var missBase uint64
-		if u.trc != nil {
-			backlog = s.osQueue.Backlog(arrival)
-			missBase = s.osMisses()
-		}
-		execCycles := s.osCore.RunSegment(seg)
-		start, wait := s.osQueue.Reserve(arrival, execCycles)
-		total := oneWay + wait + execCycles + oneWay
-		u.core.Idle(total)
-		u.clock += total
-		if u.trc != nil {
-			s.emitOffload(u.idx, seg, dispatch, arrival, start, wait,
-				execCycles, total, backlog, s.osMisses()-missBase)
-		}
 	} else {
 		// A locally executed OS segment is still an OS boundary: any
 		// outstanding fire-and-forget returns reconcile before the core
@@ -703,14 +669,10 @@ func (s *Simulator) resetAfterWarmup() {
 			u.snapshotEpoch(s)
 		}
 	}
-	if s.osCore != nil {
-		s.osCore.ResetStats()
-		s.osQueue.ResetStats()
+	for _, oc := range s.osCores {
+		oc.ResetStats()
 	}
 	if s.osc != nil {
-		for _, oc := range s.osCores {
-			oc.ResetStats()
-		}
 		s.osc.ResetStats()
 	}
 	// Telemetry captures describe exactly the measurement window.

@@ -60,11 +60,11 @@ func (s *Simulator) telemetryMeta() telemetry.Meta {
 		Policy:    s.cfg.Policy.String(),
 		Threshold: s.cfg.Threshold,
 		UserCores: s.cfg.UserCores,
-		OSCore:    s.osCore != nil || s.osc != nil,
+		OSCore:    s.osc != nil,
 		Seed:      s.cfg.Seed,
 	}
-	if s.osc != nil {
-		meta.OSCores = s.osc.K()
+	if s.cfg.OSCores.Enabled {
+		meta.OSCores = s.cfg.OSCores.K
 	}
 	return meta
 }
@@ -101,41 +101,6 @@ func (u *userCtx) emitLocalOS(seg *trace.Segment, cycles uint64) {
 		Time: u.clock, Kind: telemetry.KindOSExit,
 		Sys: int32(seg.Sys), Cycles: cycles,
 	})
-}
-
-// emitOffload records one resolved off-load round trip as four events:
-// dispatch (leaving the user core), queue wait at the OS core, execution
-// on the OS core with its cache warm-up cost, and the return to the
-// issuing core. node indexes the issuing core's ring; dispatch is its
-// clock when the transfer left, and the caller has already resolved
-// start/wait/execCycles/total against the real reservation queue.
-func (s *Simulator) emitOffload(node int, seg *trace.Segment,
-	dispatch, arrival, start, wait, execCycles, total uint64, backlog int, missDelta uint64) {
-	oneWay := uint64(s.cfg.Migration.OneWay)
-	sys := int32(seg.Sys)
-	s.trc.Emit(node, telemetry.Event{
-		Time: dispatch, Kind: telemetry.KindOffloadDispatch, Sys: sys, Cycles: oneWay,
-	})
-	s.trc.Emit(node, telemetry.Event{
-		Time: arrival, Kind: telemetry.KindOffloadQueue, Sys: sys,
-		Cycles: wait, Value: int64(backlog),
-	})
-	s.trc.Emit(node, telemetry.Event{
-		Time: start, Kind: telemetry.KindOffloadExecute, Sys: sys, Cycles: execCycles,
-	})
-	s.trc.Emit(node, telemetry.Event{
-		Time: start, Kind: telemetry.KindCacheWarm, Sys: sys, Value: int64(missDelta),
-	})
-	s.trc.Emit(node, telemetry.Event{
-		Time: dispatch + total, Kind: telemetry.KindOffloadReturn, Sys: sys, Cycles: total,
-	})
-}
-
-// osMisses is the OS core's cumulative private-cache miss count (L1 I+D
-// plus its L2): the counter emitOffload differences into cache-warm-up
-// events.
-func (s *Simulator) osMisses() uint64 {
-	return s.osCore.MissCount() + s.sys.L2(s.osNode).Stats.Misses.Value()
 }
 
 // runMeasureWithSeries runs the measurement phase cut into

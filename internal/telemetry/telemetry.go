@@ -68,10 +68,10 @@ type Meta struct {
 	Threshold int    `json:"threshold"`
 	UserCores int    `json:"user_cores"`
 	OSCore    bool   `json:"os_core"`
-	// OSCores is the OS-cluster core count K when the run used the
-	// multi-OS-core model (internal/oscore); 0 — and omitted — for the
-	// classic single-OS-core configuration, keeping legacy headers
-	// byte-identical.
+	// OSCores is the OS-cluster core count K when the run carried an
+	// enabled Config.OSCores block (internal/oscore); 0 — and omitted —
+	// for the default single OS core, whose headers read as they always
+	// have.
 	OSCores int    `json:"os_cores,omitempty"`
 	Seed    uint64 `json:"seed"`
 	// TimeUnit names the unit of every Time/Cycles field: "cycle".
