@@ -87,7 +87,8 @@ func (c *Cluster) Contexts() int { return c.queues[0].Slots() }
 // Speed returns OS core q's relative speed factor.
 func (c *Cluster) Speed(q int) float64 { return c.speeds[q] }
 
-// Queue exposes OS core q's reservation queue (stats collection).
+// Queue exposes OS core q's reservation queue (stats collection, and the
+// parallel engine's per-quantum free-cycle seed).
 func (c *Cluster) Queue(q int) *migration.OSCore { return c.queues[q] }
 
 // Designated returns the affinity-designated queue for a category.
