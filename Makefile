@@ -1,8 +1,8 @@
 # Development and CI entry points. `make ci` is the gate: formatting,
 # vet, the full test suite under the race detector (the server's worker
-# pool, and internal/sample's parallel replica replay, must be
-# race-clean), and the sampling accuracy sweep in a plain build (it
-# asserts wall-clock speedup, so it skips itself under -race).
+# pool, and sim.Run's parallel replica replay, must be race-clean), and
+# the sampling accuracy sweep in a plain build (it asserts wall-clock
+# speedup, so it skips itself under -race).
 
 GO ?= go
 
@@ -153,9 +153,12 @@ golden:
 	@echo "testdata/golden regenerated — review 'git diff testdata/golden/' before committing"
 
 # Short fuzz runs of the config-canonicalization, policy-parsing and
-# affinity-parsing fuzzers; part of `make ci`. The committed seed
-# corpora live under each package's testdata/fuzz/.
+# affinity-parsing fuzzers, and of the two decoders offsimd runs on
+# untrusted request bodies (job specs, sweep grids); part of `make ci`.
+# The committed seed corpora live under each package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAffinity$$' -fuzztime 10s ./internal/oscore/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/cluster/

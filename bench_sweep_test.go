@@ -54,13 +54,7 @@ func runBenchSweep(tb testing.TB, sampled bool) (time.Duration, uint64) {
 	start := time.Now()
 	var instrs uint64
 	for _, cfg := range cfgs {
-		var res offloadsim.Result
-		var err error
-		if sampled {
-			res, _, err = offloadsim.RunSampled(cfg)
-		} else {
-			res, err = offloadsim.Run(cfg)
-		}
+		res, err := offloadsim.Run(cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -155,22 +155,6 @@ func main() {
 			}
 		}()
 	}
-	runOne := func(cfg offloadsim.Config) (offloadsim.Result, error) {
-		if *parEngine {
-			cfg.Parallel = offloadsim.DefaultParallel()
-			// Host parallelism lives in the row fan-out; each point stays
-			// single-goroutine so -workers alone bounds the load.
-			cfg.Parallel.Workers = 1
-		}
-		if !*sampled {
-			return offloadsim.Run(cfg)
-		}
-		cfg.Sampling = offloadsim.DefaultSampling()
-		cfg.Sampling.Replicas = *replicas
-		res, _, err := offloadsim.RunSampled(cfg)
-		return res, err
-	}
-
 	// The grid flattens into an indexed point list executed on a worker
 	// pool. Every point is a pure function of its Config, so concurrency
 	// affects wall time only; results land in input order, keeping the
@@ -191,10 +175,20 @@ func main() {
 		baseCfg.WarmupInstrs = *warmup
 		baseCfg.MeasureInstrs = *measure
 		baseCfg.Seed = *seed
+		if *parEngine {
+			baseCfg.Parallel = offloadsim.DefaultParallel()
+			// Host parallelism lives in the row fan-out; each point stays
+			// single-goroutine so -workers alone bounds the load.
+			baseCfg.Parallel.Workers = 1
+		}
+		if *sampled {
+			baseCfg.Sampling = offloadsim.DefaultSampling()
+			baseCfg.Sampling.Replicas = *replicas
+		}
 		baseFor[wl] = baseCfg
 	}
 	baseOut := parallel.Map(*workers, len(wls), func(i int) outcome {
-		res, err := runOne(baseFor[wls[i]])
+		res, err := offloadsim.Run(baseFor[wls[i]])
 		return outcome{res, err}
 	})
 	baseRes := make(map[string]offloadsim.Result, len(wls))
@@ -239,10 +233,6 @@ func main() {
 			// byte-identical to an untraced sweep of the same grid; the
 			// per-point CSV rides along for free. Points write distinct
 			// files, so the fan-out needs no coordination.
-			if *parEngine {
-				cfg.Parallel = offloadsim.DefaultParallel()
-				cfg.Parallel.Workers = 1
-			}
 			res, capt, err := offloadsim.RunTraced(cfg,
 				offloadsim.TelemetryOptions{IntervalInstrs: *telemetryIval})
 			if err == nil {
@@ -250,7 +240,7 @@ func main() {
 			}
 			return outcome{res, err}
 		}
-		res, err := runOne(cfg)
+		res, err := offloadsim.Run(cfg)
 		return outcome{res, err}
 	})
 

@@ -29,6 +29,13 @@
 // Compare against the single-core baseline by running the same config
 // with Policy set to Baseline and dividing throughputs.
 //
+// Run is the one entry point for every engine, and the config picks it:
+// serial detailed by default, the quantum-parallel engine when
+// cfg.Parallel is enabled, interval sampling when cfg.Sampling is
+// (Sampling.Replicas seeds run in parallel and merge deterministically;
+// res.Sampling.ThroughputRelErr is the estimate's 95% error bound).
+// RunTraced is Run with telemetry attached.
+//
 // # Layout
 //
 // The paper's contribution (predictor, decision engine, dynamic-N tuner)

@@ -1,0 +1,33 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// FuzzSweepRequest feeds arbitrary request bodies through the decoder
+// POST /v1/sweeps uses, then through withDefaults. Nothing may panic,
+// and an accepted grid must stay within maxSweepPoints, so expanding it
+// is safe. The seed corpus is committed under testdata/fuzz.
+func FuzzSweepRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SweepRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		r, err := req.withDefaults()
+		if err != nil {
+			return
+		}
+		n := len(r.Workloads) * len(r.Policies) * len(r.Thresholds) * len(r.Latencies)
+		if n < 1 || n > maxSweepPoints {
+			t.Fatalf("accepted a grid of %d points (cap %d): %s", n, maxSweepPoints, body)
+		}
+		if got := len(r.points()); got != n {
+			t.Fatalf("expanded %d points, want %d", got, n)
+		}
+	})
+}

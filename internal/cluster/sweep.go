@@ -44,6 +44,11 @@ type SweepRequest struct {
 // request does not say otherwise.
 const DefaultSweepConcurrency = 8
 
+// maxSweepPoints bounds a sweep's grid. The coordinator materializes
+// every point (and a channel per point) up front, so the cap keeps a
+// small request body from asking for an unbounded cross product.
+const maxSweepPoints = 4096
+
 // withDefaults fills cmd/sweep's defaults and validates shape-level
 // constraints (per-point config validity is checked when each job spec
 // is built).
@@ -59,6 +64,16 @@ func (r SweepRequest) withDefaults() (SweepRequest, error) {
 	}
 	if len(r.Latencies) == 0 {
 		r.Latencies = []int{100}
+	}
+	// Multiply the axis lengths (each >= 1 here) without overflowing:
+	// points*axis > maxSweepPoints exactly when points > maxSweepPoints/axis.
+	points := 1
+	for _, axis := range []int{len(r.Workloads), len(r.Policies), len(r.Thresholds), len(r.Latencies)} {
+		if points > maxSweepPoints/axis {
+			return r, fmt.Errorf("sweep: grid of %d workloads × %d policies × %d thresholds × %d latencies exceeds %d points",
+				len(r.Workloads), len(r.Policies), len(r.Thresholds), len(r.Latencies), maxSweepPoints)
+		}
+		points *= axis
 	}
 	for _, n := range r.Thresholds {
 		if n < 0 {

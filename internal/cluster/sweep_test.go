@@ -139,10 +139,21 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		{Workloads: []string{"apache"}, Mode: "warp"},
 		{Workloads: []string{"apache"}, Replicas: 3},
 		{Workloads: []string{"apache"}, Concurrency: -1},
+		// Grids past maxSweepPoints, including products that overflow int.
+		{Workloads: []string{"apache"}, Thresholds: make([]int, maxSweepPoints+1)},
+		{Workloads: make([]string, 2), Thresholds: make([]int, 64), Latencies: make([]int, 33)},
+		{Workloads: make([]string, 1000), Policies: make([]string, 1000),
+			Thresholds: make([]int, 1000), Latencies: make([]int, 1000)},
 	} {
 		if _, err := c.Start(context.Background(), "s-x", bad); err == nil {
-			t.Errorf("invalid request %+v accepted", bad)
+			t.Errorf("invalid request with %d workloads, %d thresholds accepted",
+				len(bad.Workloads), len(bad.Thresholds))
 		}
+	}
+	// A grid of exactly maxSweepPoints is accepted.
+	if _, err := (SweepRequest{Workloads: make([]string, 2), Thresholds: make([]int, 64),
+		Latencies: make([]int, 32)}).withDefaults(); err != nil {
+		t.Errorf("grid of %d points rejected: %v", maxSweepPoints, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"offloadsim/internal/policy"
-	"offloadsim/internal/sample"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/workloads"
 )
@@ -130,34 +129,19 @@ func SamplingAccuracy(o SamplingAccuracyOptions) SamplingAccuracyResult {
 		return cfg
 	}
 
-	run := func(cfg sim.Config) (float64, time.Duration) {
-		t0 := time.Now()
-		var tput float64
-		if cfg.Sampling.Enabled {
-			r, _, err := sample.Run(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: sampled run: %v", err))
-			}
-			tput = r.Throughput
-		} else {
-			tput = sim.MustNew(cfg).Run().Throughput
-		}
-		return tput, time.Since(t0)
-	}
-
 	for _, name := range o.Workloads {
 		detRow := make([]float64, len(o.Thresholds))
 		sampRow := make([]float64, len(o.Thresholds))
 		errRow := make([]float64, len(o.Thresholds))
 		for _, seed := range o.Seeds {
-			detBase, d := run(cfgFor(name, -1, seed, false))
+			detBase, d := timedThroughput(cfgFor(name, -1, seed, false))
 			res.DetailedSecs += d.Seconds()
-			sampBase, d2 := run(cfgFor(name, -1, seed, true))
+			sampBase, d2 := timedThroughput(cfgFor(name, -1, seed, true))
 			res.SampledSecs += d2.Seconds()
 			for ti, n := range o.Thresholds {
-				det, dd := run(cfgFor(name, n, seed, false))
+				det, dd := timedThroughput(cfgFor(name, n, seed, false))
 				res.DetailedSecs += dd.Seconds()
-				samp, ds := run(cfgFor(name, n, seed, true))
+				samp, ds := timedThroughput(cfgFor(name, n, seed, true))
 				res.SampledSecs += ds.Seconds()
 				detRow[ti] += det / detBase / float64(len(o.Seeds))
 				sampRow[ti] += samp / sampBase / float64(len(o.Seeds))
@@ -182,6 +166,17 @@ func SamplingAccuracy(o SamplingAccuracyOptions) SamplingAccuracyResult {
 		res.Speedup = res.DetailedSecs / res.SampledSecs
 	}
 	return res
+}
+
+// timedThroughput runs cfg on the engine its config selects and returns
+// the throughput with the run's wall time.
+func timedThroughput(cfg sim.Config) (float64, time.Duration) {
+	t0 := time.Now()
+	r, err := sim.Run(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return r.Throughput, time.Since(t0)
 }
 
 // Render writes the per-workload error table and the speedup line.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"offloadsim/internal/policy"
 	"offloadsim/internal/sim"
@@ -130,25 +129,19 @@ func ParallelAccuracy(o ParallelAccuracyOptions) ParallelAccuracyResult {
 		return cfg
 	}
 
-	run := func(cfg sim.Config) (float64, time.Duration) {
-		t0 := time.Now()
-		tput := sim.MustNew(cfg).Run().Throughput
-		return tput, time.Since(t0)
-	}
-
 	for _, name := range o.Workloads {
 		serRow := make([]float64, len(o.Thresholds))
 		parRow := make([]float64, len(o.Thresholds))
 		errRow := make([]float64, len(o.Thresholds))
 		for _, seed := range o.Seeds {
-			serBase, d := run(cfgFor(name, -1, seed, false))
+			serBase, d := timedThroughput(cfgFor(name, -1, seed, false))
 			res.SerialSecs += d.Seconds()
-			parBase, d2 := run(cfgFor(name, -1, seed, true))
+			parBase, d2 := timedThroughput(cfgFor(name, -1, seed, true))
 			res.ParallelSecs += d2.Seconds()
 			for ti, n := range o.Thresholds {
-				ser, ds := run(cfgFor(name, n, seed, false))
+				ser, ds := timedThroughput(cfgFor(name, n, seed, false))
 				res.SerialSecs += ds.Seconds()
-				par, dp := run(cfgFor(name, n, seed, true))
+				par, dp := timedThroughput(cfgFor(name, n, seed, true))
 				res.ParallelSecs += dp.Seconds()
 				serRow[ti] += ser / serBase / float64(len(o.Seeds))
 				parRow[ti] += par / parBase / float64(len(o.Seeds))

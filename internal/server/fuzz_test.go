@@ -1,0 +1,45 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"offloadsim/internal/cpu"
+	"offloadsim/internal/sim"
+)
+
+// FuzzJobSpec feeds arbitrary request bodies through the job-spec
+// decoder the POST /v1/jobs and /v1/peer/execute handlers use, then
+// through admission (JobSpec.Config). Nothing may panic, and an admitted
+// spec must canonicalize to a cache key with every allocation size the
+// body controls inside its admission bound. The seed corpus, valid and
+// invalid bodies of every mode, is committed under testdata/fuzz.
+func FuzzJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		cfg, err := spec.Config()
+		if err != nil {
+			return
+		}
+		if _, err := sim.Canonicalize(cfg); err != nil {
+			t.Fatalf("admitted spec %s does not canonicalize: %v", body, err)
+		}
+		if _, err := sim.CanonicalKey(cfg); err != nil {
+			t.Fatalf("admitted spec %s has no cache key: %v", body, err)
+		}
+		if cfg.OSCoreSlots > sim.MaxOSCores {
+			t.Fatalf("admitted spec %s: %d OS-core slots above %d", body, cfg.OSCoreSlots, sim.MaxOSCores)
+		}
+		if user := cpu.DefaultConfig(); cfg.OSCPU != nil &&
+			(cfg.OSCPU.L1I.SizeBytes > user.L1I.SizeBytes || cfg.OSCPU.L1D.SizeBytes > user.L1D.SizeBytes) {
+			t.Fatalf("admitted spec %s: OS-core L1s %d/%d B above the user cores'",
+				body, cfg.OSCPU.L1I.SizeBytes, cfg.OSCPU.L1D.SizeBytes)
+		}
+	})
+}

@@ -13,7 +13,6 @@ import (
 
 	"offloadsim/internal/cluster"
 	"offloadsim/internal/obs"
-	"offloadsim/internal/sample"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/telemetry"
 )
@@ -96,7 +95,7 @@ type Server struct {
 	runSim func(sim.Config) (sim.Result, error)
 
 	// runTraced runs trace jobs: a detailed or parallel simulation with
-	// telemetry attached. Swappable for tests.
+	// telemetry attached. Swappable for tests; defaults to sim.RunTraced.
 	runTraced func(sim.Config, telemetry.Options) (sim.Result, *telemetry.Capture, error)
 
 	// now is swappable for tests; defaults to time.Now.
@@ -134,39 +133,18 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	srv := &Server{
-		opts:    opts,
-		metrics: NewMetrics(),
-		cache:   newResultCache(opts.CacheEntries),
-		queue:   newJobQueue(opts.QueueSize),
-		runSim: func(c sim.Config) (sim.Result, error) {
-			if c.Sampling.Enabled {
-				r, _, err := sample.Run(c)
-				return r, err
-			}
-			s, err := sim.New(c)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return s.Run(), nil
-		},
-		runTraced: func(c sim.Config, opts telemetry.Options) (sim.Result, *telemetry.Capture, error) {
-			s, err := sim.New(c)
-			if err != nil {
-				return sim.Result{}, nil, err
-			}
-			trc, err := s.AttachTelemetry(opts)
-			if err != nil {
-				return sim.Result{}, nil, err
-			}
-			res := s.Run()
-			return res, trc.Capture(), nil
-		},
-		now:     time.Now,
-		jobs:    make(map[string]*job),
-		pending: make(map[string][]*job),
-		sweeps:  make(map[string]*cluster.Sweep),
-		baseCtx: ctx,
-		abort:   cancel,
+		opts:      opts,
+		metrics:   NewMetrics(),
+		cache:     newResultCache(opts.CacheEntries),
+		queue:     newJobQueue(opts.QueueSize),
+		runSim:    sim.Run,
+		runTraced: sim.RunTraced,
+		now:       time.Now,
+		jobs:      make(map[string]*job),
+		pending:   make(map[string][]*job),
+		sweeps:    make(map[string]*cluster.Sweep),
+		baseCtx:   ctx,
+		abort:     cancel,
 	}
 	if opts.Cluster.Enabled() {
 		srv.cluster = newClusterNode(opts.Cluster)

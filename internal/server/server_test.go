@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"offloadsim/internal/cluster"
 	"offloadsim/internal/sim"
 )
 
@@ -421,12 +422,38 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Workload: "apache", Cores: -1},
 		{Workload: "apache", MeasureInstrs: &zero},
 		{Workload: "apache", OSL1KB: -4},
+		// Allocation sizes from the body are bounded at admission.
+		{Workload: "apache", OSSlots: sim.MaxOSCores + 1},
+		{Workload: "apache", OSSlots: 1 << 40},
+		{Workload: "apache", OSL1KB: 64},
+		{Workload: "apache", OSL1KB: 1 << 30},
 	}
 	for i, spec := range bad {
 		body, _ := json.Marshal(spec)
 		if code, _, _ := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("bad spec %d: HTTP %d, want 400", i, code)
 		}
+		resp, err := http.Post(ts.URL+"/v1/peer/execute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad spec %d via peer execute: HTTP %d, want 400", i, resp.StatusCode)
+		}
+	}
+	// A sweep grid past the point cap is refused before any expansion.
+	axis := make([]int, 1000)
+	big, _ := json.Marshal(cluster.SweepRequest{
+		Workloads: []string{"apache", "derby"}, Thresholds: axis, Latencies: axis,
+	})
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized sweep grid: HTTP %d, want 400", resp.StatusCode)
 	}
 	// Unknown fields are rejected too (catches client typos like "sede").
 	if code, _, _ := postJob(t, ts, []byte(`{"workload":"apache","sede":3}`)); code != http.StatusBadRequest {

@@ -39,7 +39,8 @@ type JobSpec struct {
 	LatencyCycles *int `json:"latency_cycles,omitempty"`
 	// Cores is the number of user cores (default 1).
 	Cores int `json:"cores,omitempty"`
-	// OSSlots is the OS core's hardware context count (default 1).
+	// OSSlots is the OS core's hardware context count (default 1, at
+	// most sim.MaxOSCores).
 	OSSlots int `json:"os_slots,omitempty"`
 	// OSCores sizes the multi-OS-core off-load cluster (default 1 =
 	// classic single OS core; docs/OSCORES.md).
@@ -60,7 +61,8 @@ type JobSpec struct {
 	InstrumentOnly bool `json:"instrument_only,omitempty"`
 	// MOESI switches the coherence protocol from MESI.
 	MOESI bool `json:"moesi,omitempty"`
-	// OSL1KB shrinks the OS core's L1s (0 = same as user cores).
+	// OSL1KB shrinks the OS core's L1s (0 = same as user cores; at
+	// most the user cores' 32 KB).
 	OSL1KB int `json:"os_l1_kb,omitempty"`
 	// WarmupInstrs / MeasureInstrs are per-core instruction budgets
 	// (defaults 300k / 1M).
@@ -134,8 +136,8 @@ func (j JobSpec) Config() (sim.Config, error) {
 	if j.Cores > 0 {
 		cfg.UserCores = j.Cores
 	}
-	if j.OSSlots < 0 {
-		return sim.Config{}, fmt.Errorf("negative os_slots %d", j.OSSlots)
+	if j.OSSlots < 0 || j.OSSlots > sim.MaxOSCores {
+		return sim.Config{}, fmt.Errorf("os_slots %d outside [0, %d]", j.OSSlots, sim.MaxOSCores)
 	}
 	if j.OSSlots > 0 {
 		cfg.OSCoreSlots = j.OSSlots
@@ -160,11 +162,12 @@ func (j JobSpec) Config() (sim.Config, error) {
 		cc.Protocol = coherence.MOESI
 		cfg.Coherence = cc
 	}
-	if j.OSL1KB < 0 {
-		return sim.Config{}, fmt.Errorf("negative os_l1_kb %d", j.OSL1KB)
+	// The OS core's L1s can only shrink below the user cores'.
+	osCPU := cpu.DefaultConfig()
+	if maxKB := osCPU.L1D.SizeBytes >> 10; j.OSL1KB < 0 || j.OSL1KB > maxKB {
+		return sim.Config{}, fmt.Errorf("os_l1_kb %d outside [0, %d]", j.OSL1KB, maxKB)
 	}
 	if j.OSL1KB > 0 {
-		osCPU := cpu.DefaultConfig()
 		osCPU.L1I.SizeBytes = j.OSL1KB << 10
 		osCPU.L1D.SizeBytes = j.OSL1KB << 10
 		cfg.OSCPU = &osCPU

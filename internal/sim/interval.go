@@ -11,8 +11,7 @@ import (
 // every Ratio runs at full detail and the rest run in functional-warming
 // mode (caches, directory and predictor tables stay warm; cycle
 // accounting is estimated). Detailed intervals are extrapolated into a
-// Result; package sample layers replica fan-out and parallel replay on
-// top of this engine.
+// Result; Run (run.go) fans replicas of this engine out and merges them.
 
 // IntervalSample is the raw measurement of one detailed interval. All
 // values are deltas over the interval.
@@ -223,18 +222,13 @@ func (s *Simulator) maxMeasured() uint64 {
 	return m
 }
 
-// RunSampled executes warmup plus measurement in interval-sampling mode
-// and returns the extrapolated Result together with the raw per-interval
-// samples. With sampling disabled it falls back to the full detailed
-// Run. The run is fully deterministic: segment streams, interval
-// boundaries and the warming stride are all pure functions of the
-// Config.
-func (s *Simulator) RunSampled() (Result, []IntervalSample) {
+// runIntervals executes warmup plus measurement in interval-sampling
+// mode and returns the raw samples of the measured intervals and every
+// interval's covariates, the inputs of collectSampled. The run is fully
+// deterministic: segment streams, interval boundaries and the warming
+// stride are all pure functions of the Config.
+func (s *Simulator) runIntervals() ([]IntervalSample, []intervalCov) {
 	sp := s.cfg.Sampling
-	if !sp.Enabled {
-		return s.Run(), nil
-	}
-	s.installEpochHooks()
 
 	// Warmup: strided warming for the head, full-density (stride 1)
 	// warming for the tail. The tail is what actually fills the
@@ -300,7 +294,7 @@ func (s *Simulator) RunSampled() (Result, []IntervalSample) {
 		covBefore = covAfter
 	}
 	s.setWarming(false)
-	return s.collectSampled(samples, covs), samples
+	return samples, covs
 }
 
 // collectSampled extrapolates the detailed samples into a full Result.

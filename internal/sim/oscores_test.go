@@ -296,7 +296,7 @@ func TestClusterAsyncDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestClusterSamplingComposes(t *testing.T) {
 	cfg := oscoresCfg(policy.HardwarePredictor, OSCores{Enabled: true, K: 2, Async: true})
 	cfg.Sampling = DefaultSampling()
-	r, _ := MustNew(cfg).RunSampled()
+	r := MustNew(cfg).Run()
 	if r.Sampling == nil {
 		t.Fatal("sampled run missing sampling provenance")
 	}

@@ -135,7 +135,7 @@ func TestParallelSamplingCompose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		r, _ := s.RunSampled()
+		r := s.Run()
 		if r.Sampling == nil || r.Parallel == nil {
 			t.Fatalf("composed run missing provenance: sampling=%v parallel=%v", r.Sampling, r.Parallel)
 		}

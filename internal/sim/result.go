@@ -158,8 +158,7 @@ type ParallelProvenance struct {
 }
 
 // SamplingProvenance marks a Result as extrapolated from interval
-// sampling and carries its headline error estimate. Per-metric estimates
-// live in package sample's Report.
+// sampling and carries its headline error estimate.
 type SamplingProvenance struct {
 	// Intervals is the number of detailed intervals measured (across
 	// all merged replicas).
@@ -177,7 +176,8 @@ type SamplingProvenance struct {
 	// covariates) or "ratio" (plain ratio-of-sums expansion).
 	Estimator string
 	// ThroughputRelErr is the 95% confidence half-width of the
-	// throughput estimate, relative to the estimate.
+	// throughput estimate, relative to the estimate: from the spread of
+	// the detailed intervals, or of the replicas once several merged.
 	ThroughputRelErr float64
 }
 

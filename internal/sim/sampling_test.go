@@ -2,7 +2,6 @@ package sim
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"offloadsim/internal/core"
@@ -96,24 +95,11 @@ func TestSamplingCanonicalKeys(t *testing.T) {
 	}
 }
 
-func TestRunSampledDisabledFallsBack(t *testing.T) {
-	cfg := quickCfg(workloads.Apache(), policy.HardwarePredictor)
-	detailed := MustNew(cfg).Run()
-	viaSampled, samples := MustNew(cfg).RunSampled()
-	if samples != nil {
-		t.Fatalf("disabled sampling produced %d interval samples", len(samples))
-	}
-	if viaSampled.Sampling != nil {
-		t.Fatal("disabled sampling attached provenance")
-	}
-	if !reflect.DeepEqual(detailed, viaSampled) {
-		t.Fatal("RunSampled with sampling disabled differs from Run")
-	}
-}
-
-func TestRunSampledExtrapolates(t *testing.T) {
+func TestSamplingExtrapolates(t *testing.T) {
 	cfg := sampledCfg(policy.HardwarePredictor)
-	r, samples := MustNew(cfg).RunSampled()
+	s := MustNew(cfg)
+	samples, covs := s.runIntervals()
+	r := s.collectSampled(samples, covs)
 
 	if r.Sampling == nil {
 		t.Fatal("sampled run carries no provenance")
@@ -148,10 +134,10 @@ func TestRunSampledExtrapolates(t *testing.T) {
 	}
 }
 
-func TestRunSampledDeterministic(t *testing.T) {
+func TestSamplingDeterministic(t *testing.T) {
 	cfg := sampledCfg(policy.HardwarePredictor)
-	a, _ := MustNew(cfg).RunSampled()
-	b, _ := MustNew(cfg).RunSampled()
+	a := MustNew(cfg).Run()
+	b := MustNew(cfg).Run()
 	aj, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
@@ -168,16 +154,18 @@ func TestRunSampledDeterministic(t *testing.T) {
 // WarmDetailed executes every interval at full detail, so the only
 // error left is extrapolating from the measured subset; the estimate
 // must land close to the fully detailed run.
-func TestRunSampledWarmDetailedTracksDetailed(t *testing.T) {
+func TestSamplingWarmDetailedTracksDetailed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run comparison")
 	}
 	cfg := sampledCfg(policy.HardwarePredictor)
 	cfg.MeasureInstrs = 2_000_000
-	detailed := MustNew(cfg).Run()
+	detCfg := cfg
+	detCfg.Sampling = Sampling{}
+	detailed := MustNew(detCfg).Run()
 
 	cfg.Sampling.Warming = WarmDetailed
-	sampled, _ := MustNew(cfg).RunSampled()
+	sampled := MustNew(cfg).Run()
 	// The run is deterministic, so the tolerance only needs to clear the
 	// subset noise of ~100 five-thousand-instruction windows.
 	rel := sampled.Throughput/detailed.Throughput - 1

@@ -87,13 +87,13 @@ type Config struct {
 	MeasureInstrs uint64
 
 	// Sampling, when enabled, replaces full detailed execution with
-	// interval sampling plus functional warming (see RunSampled and
-	// internal/sample). Disabled by default; zero-valued knobs of an
-	// enabled block take the documented defaults.
+	// interval sampling plus functional warming (see interval.go and
+	// Run, which merges Replicas). Disabled by default; zero-valued
+	// knobs of an enabled block take the documented defaults.
 	Sampling Sampling
 
 	// Parallel, when enabled, runs detailed execution with the
-	// quantum-synchronized parallel engine (see RunParallel and
+	// quantum-synchronized parallel engine (see parallel.go and
 	// docs/PARALLEL.md). Composes with Sampling: detailed intervals run
 	// in parallel while warming stays cheap. Disabled by default;
 	// zero-valued knobs of an enabled block take the documented
@@ -318,10 +318,15 @@ type Simulator struct {
 	trc *telemetry.Tracer
 }
 
-// New builds a simulator from cfg.
+// New builds a simulator from cfg. A sampled config builds one replica:
+// New rejects Sampling.Replicas > 1, which only Run can merge.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Sampling.Enabled && cfg.Sampling.Replicas > 1 {
+		return nil, fmt.Errorf("sim: New builds one sampled replica, not %d; sim.Run runs and merges replicas",
+			cfg.Sampling.Replicas)
 	}
 	if cfg.CPU.IFetchInterval == 0 {
 		cfg.CPU = cpu.DefaultConfig()
@@ -416,6 +421,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.osc = oscore.NewCluster(k, cfg.OSCoreSlots, aff, speeds,
 			cfg.OSCores.Rebalance, cfg.OSCores.AsyncSlots, cfg.UserCores)
 	}
+	s.installEpochHooks()
 	return s, nil
 }
 
@@ -592,11 +598,14 @@ func (s *Simulator) installEpochHooks() {
 	}
 }
 
-// Run executes warmup plus measurement and returns the results.
+// Run executes warmup plus measurement and returns the results. A
+// sampled config (Config.Sampling) runs as intervals and extrapolates
+// its detailed ones (interval.go); otherwise warmup runs until every
+// user core has retired WarmupInstrs, then measurement runs in full.
 func (s *Simulator) Run() Result {
-	s.installEpochHooks()
-
-	// Warmup: run until every user core has retired WarmupInstrs.
+	if s.cfg.Sampling.Enabled {
+		return s.collectSampled(s.runIntervals())
+	}
 	if s.cfg.WarmupInstrs > 0 {
 		s.runUntil(func(u *userCtx) bool { return u.retired >= s.cfg.WarmupInstrs })
 	}

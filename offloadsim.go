@@ -12,7 +12,6 @@ import (
 	"offloadsim/internal/migration"
 	"offloadsim/internal/oscore"
 	"offloadsim/internal/policy"
-	"offloadsim/internal/sample"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/telemetry"
 	"offloadsim/internal/workloads"
@@ -119,17 +118,15 @@ func Canonicalize(cfg Config) (Config, error) { return sim.Canonicalize(cfg) }
 // (seed included). It is the cache key of the offsimd result cache.
 func ConfigKey(cfg Config) (string, error) { return sim.CanonicalKey(cfg) }
 
-// New builds a Simulator, validating the configuration.
+// New builds a Simulator, validating the configuration. A sampled
+// config builds one replica; Sampling.Replicas > 1 needs Run.
 func New(cfg Config) (*Simulator, error) { return sim.New(cfg) }
 
-// Run builds and runs a simulation in one step.
-func Run(cfg Config) (Result, error) {
-	s, err := sim.New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run(), nil
-}
+// Run builds and runs a simulation in one step, on the engine the
+// config selects: serial or parallel detailed (Config.Parallel), or
+// interval-sampled (Config.Sampling), whose Sampling.Replicas replicas
+// run in parallel and merge deterministically.
+func Run(cfg Config) (Result, error) { return sim.Run(cfg) }
 
 // Sampling configures interval-sampled execution (Config.Sampling): one
 // interval in Sampling.Ratio runs in full detail, the rest keep caches
@@ -137,17 +134,9 @@ func Run(cfg Config) (Result, error) {
 // intervals are extrapolated into a Result.
 type Sampling = sim.Sampling
 
-// SamplingReport carries cross-replica per-metric error estimates.
-type SamplingReport = sample.Report
-
 // DefaultSampling returns an enabled sampling block with the validated
 // default schedule (see docs/SAMPLING.md).
 func DefaultSampling() Sampling { return sim.DefaultSampling() }
-
-// RunSampled runs cfg in interval-sampling mode: Sampling.Replicas
-// independent replicas replay in parallel and merge deterministically.
-// cfg.Sampling must be enabled.
-func RunSampled(cfg Config) (Result, SamplingReport, error) { return sample.Run(cfg) }
 
 // Parallel configures quantum-synchronized parallel detailed execution
 // (Config.Parallel): simulated cores advance one quantum concurrently
@@ -160,16 +149,6 @@ type Parallel = sim.Parallel
 // DefaultParallel returns an enabled parallel block with the default
 // quantum; Workers 0 resolves to GOMAXPROCS at run time.
 func DefaultParallel() Parallel { return sim.DefaultParallel() }
-
-// RunParallel runs cfg on the parallel detailed engine, enabling
-// cfg.Parallel with defaults if the caller left it off. Combine with
-// Config.Sampling and RunSampled to compose both accelerations.
-func RunParallel(cfg Config) (Result, error) {
-	if !cfg.Parallel.Enabled {
-		cfg.Parallel = sim.DefaultParallel()
-	}
-	return Run(cfg)
-}
 
 // OSCores configures the multi-OS-core cluster model (Config.OSCores):
 // K OS cores with per-syscall-class affinity routing, asymmetric
@@ -230,16 +209,7 @@ type TraceIntervalPoint = telemetry.IntervalPoint
 // byte-identical to an untraced Run of the same Config. Sampled mode is
 // rejected (no cycle-accurate timeline).
 func RunTraced(cfg Config, opts TelemetryOptions) (Result, *TraceCapture, error) {
-	s, err := sim.New(cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	trc, err := s.AttachTelemetry(opts)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res := s.Run()
-	return res, trc.Capture(), nil
+	return sim.RunTraced(cfg, opts)
 }
 
 // NewJSONLSink writes a capture as newline-delimited JSON: a metadata

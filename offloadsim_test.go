@@ -1,9 +1,14 @@
 package offloadsim_test
 
 import (
+	"context"
+	"encoding/json"
+	"strings"
 	"testing"
+	"time"
 
 	"offloadsim"
+	"offloadsim/internal/server"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -38,6 +43,66 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := offloadsim.New(cfg); err == nil {
 		t.Fatal("New accepted invalid config")
+	}
+}
+
+// The config, not the caller, picks the engine: a sampled config runs
+// sampled through the facade's Run, through New followed by
+// Simulator.Run, and as an offsimd job, with byte-identical results.
+func TestRunEngineFollowsConfig(t *testing.T) {
+	warm, meas, seed := uint64(100_000), uint64(2_000_000), uint64(1)
+	spec := server.JobSpec{
+		Workload: "apache", Policy: "HI", Mode: "sampled",
+		WarmupInstrs: &warm, MeasureInstrs: &meas, Seed: &seed,
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := offloadsim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sampling == nil {
+		t.Fatal("Run on a sampled config returned no Sampling block")
+	}
+	viaRun, _ := json.Marshal(res)
+
+	s, err := offloadsim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaNew, _ := json.Marshal(s.Run())
+	if string(viaNew) != string(viaRun) {
+		t.Errorf("New(cfg).Run() differs from Run(cfg)\nNew: %s\nRun: %s", viaNew, viaRun)
+	}
+
+	srv := server.New(server.Options{Workers: 1})
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	st, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := srv.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	viaJob, fin, _ := srv.Result(st.ID)
+	if fin.State != server.StateDone {
+		t.Fatalf("job %s: %s", fin.State, fin.Error)
+	}
+	if string(viaJob) != string(viaRun) {
+		t.Errorf("offsimd job differs from Run(cfg)\njob: %s\nRun: %s", viaJob, viaRun)
+	}
+
+	// New builds one replica; merging several is Run's job.
+	two := cfg
+	two.Sampling.Replicas = 2
+	if _, err := offloadsim.New(two); err == nil || !strings.Contains(err.Error(), "Run") {
+		t.Errorf("New with Sampling.Replicas = 2: error %v, want one naming Run", err)
 	}
 }
 
