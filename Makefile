@@ -7,7 +7,7 @@
 GO ?= go
 
 .PHONY: ci fmt vet test race server-race build build-examples bench \
-	bench-json bench-engine bench-parallel bench-cluster bench-oscore \
+	bench-engine bench-parallel bench-cluster \
 	accuracy accuracy-parallel golden golden-check fuzz-smoke \
 	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests
 
@@ -55,11 +55,6 @@ accuracy-parallel:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ -pgo=default.pgo .
 
-# Runs the Figure-4 threshold sweep in detailed and sampled mode and
-# writes BENCH_sweep.json (ns/op, simulated instrs/sec, speedup).
-bench-json:
-	OFFLOADSIM_BENCH_JSON=BENCH_sweep.json $(GO) test -run '^TestWriteBenchSweepJSON$$' -count=1 -v .
-
 # Engine hot-path trajectory: runs the shared microbenchmark bodies
 # (internal/enginebench) plus the end-to-end detailed run and writes
 # BENCH_engine.json against the recorded pre-optimization baseline.
@@ -90,13 +85,6 @@ bench-cluster:
 # cores).
 bench-parallel:
 	OFFLOADSIM_BENCH_PARALLEL=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -count=1 -v -timeout 30m .
-
-# Multi-OS-core trajectory: the cluster-size sweep (K={1,2,4} plus a
-# big/little async cell) on 4-user-core apache, into BENCH_oscore.json
-# with the off-load latency distribution from the event trace (records
-# host CPU count — wall speeds are host-class-relative).
-bench-oscore:
-	OFFLOADSIM_BENCH_OSCORE=BENCH_oscore.json $(GO) test -run '^TestWriteBenchOSCoreJSON$$' -count=1 -v -timeout 30m .
 
 # Telemetry zero-overhead gate: the detailed engine with telemetry
 # detached must stay within 2% of the throughput recorded in

@@ -251,5 +251,5 @@ func BenchmarkCoherenceReadWrite(b *testing.B) {
 
 // coherenceSystem builds a 2-node Table II system for microbenchmarks.
 func coherenceSystem() *coherence.System {
-	return coherence.MustNew(coherence.DefaultConfig(), nil)
+	return coherence.MustNew(coherence.DefaultConfig())
 }

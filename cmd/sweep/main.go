@@ -23,26 +23,16 @@ import (
 	"strings"
 
 	"offloadsim"
+	"offloadsim/internal/cluster"
 	"offloadsim/internal/parallel"
 )
 
-// Row is one sweep result in export form.
+// Row is one sweep result in export form: the fleet's sweep row plus
+// the optional energy columns.
 type Row struct {
-	Workload   string  `json:"workload"`
-	Policy     string  `json:"policy"`
-	Threshold  int     `json:"threshold"`
-	OneWay     int     `json:"one_way_latency"`
-	Throughput float64 `json:"throughput"`
-	Normalized float64 `json:"normalized"`
-	OffloadPct float64 `json:"offload_pct"`
-	OSUtilPct  float64 `json:"os_util_pct"`
-	UserL2Hit  float64 `json:"user_l2_hit"`
-	OSL2Hit    float64 `json:"os_l2_hit"`
-	C2C        uint64  `json:"c2c_transfers"`
-	QueueMean  float64 `json:"queue_mean_cyc"`
-	OSCores    int     `json:"os_cores,omitempty"`
-	Joules     float64 `json:"joules,omitempty"`
-	EDP        float64 `json:"edp,omitempty"`
+	cluster.Row
+	Joules float64 `json:"joules,omitempty"`
+	EDP    float64 `json:"edp,omitempty"`
 }
 
 func main() {
@@ -251,21 +241,11 @@ func main() {
 			fail(out.err.Error())
 		}
 		p, res := points[i], out.res
-		row := Row{
-			Workload:   p.wl,
-			Policy:     res.Policy,
-			Threshold:  p.n,
-			OneWay:     p.lat,
-			Throughput: res.Throughput,
-			Normalized: res.Throughput / baseRes[p.wl].Throughput,
-			OffloadPct: 100 * res.OffloadRate,
-			OSUtilPct:  100 * res.OSCoreUtilization,
-			UserL2Hit:  res.UserL2HitRate,
-			OSL2Hit:    res.OSL2HitRate,
-			C2C:        res.C2CTransfers,
-			QueueMean:  res.MeanQueueDelay,
-		}
+		row := Row{Row: cluster.BuildRow(cluster.Point{Workload: p.wl, Threshold: p.n, Latency: p.lat},
+			res, baseRes[p.wl].Throughput)}
 		if withOSCores {
+			// A block that collapses to the classic model (K=1) carries
+			// no OSCores provenance, so the axis value is the column.
 			row.OSCores = oscoreKs[p.osi]
 		}
 		if *energy {

@@ -6,14 +6,13 @@
 //
 // The baseline configuration follows the paper's Table II: 32 KB 2-way L1s
 // with 1-cycle access, 1 MB 16-way L2 with 12-cycle access, 64 B lines
-// everywhere.
+// everywhere, LRU replacement in every array.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 
-	"offloadsim/internal/rng"
 	"offloadsim/internal/stats"
 )
 
@@ -53,31 +52,13 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// ReplacementPolicy selects a victim way within a set.
+// ReplacementPolicy selects a victim way within a set. LRU is the only
+// policy modeled and Validate rejects any other value; Config keeps the
+// field because canonical configuration keys encode every Config field.
 type ReplacementPolicy int
 
-const (
-	// LRU evicts the least recently used way (the paper's baseline).
-	LRU ReplacementPolicy = iota
-	// Random evicts a uniformly random way.
-	Random
-	// TreePLRU approximates LRU with a binary decision tree, the common
-	// hardware implementation for high associativity.
-	TreePLRU
-)
-
-// String implements fmt.Stringer.
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case Random:
-		return "random"
-	case TreePLRU:
-		return "tree-plru"
-	}
-	return fmt.Sprintf("ReplacementPolicy(%d)", int(p))
-}
+// LRU evicts the least recently used way (the paper's baseline).
+const LRU ReplacementPolicy = 0
 
 // Config describes one cache array.
 type Config struct {
@@ -89,8 +70,8 @@ type Config struct {
 	Policy     ReplacementPolicy
 }
 
-// Validate checks structural sanity: power-of-two geometry and at least
-// one set.
+// Validate checks structural sanity: power-of-two geometry, at least one
+// set and LRU replacement.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache %q: non-positive geometry", c.Name)
@@ -108,6 +89,9 @@ func (c Config) Validate() error {
 	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache %q: negative hit latency", c.Name)
+	}
+	if c.Policy != LRU {
+		return fmt.Errorf("cache %q: replacement policy %d is not LRU", c.Name, int(c.Policy))
 	}
 	return nil
 }
@@ -148,8 +132,8 @@ const invalidTag = ^uint64(0)
 // gen++ and is therefore unique within the cache, so ordering packed
 // words is identical to ordering raw stamps — the state byte can never
 // break an LRU tie that does not exist. Keeping the record 16 bytes
-// means a replacement-hint hit reads and updates one cache line instead
-// of three parallel arrays.
+// means a hit reads and updates one host cache line instead of three
+// parallel arrays.
 type wayRec struct {
 	tag      uint64 // invalidTag when the way is empty
 	useState uint64 // gen<<8 | uint64(state)
@@ -174,22 +158,15 @@ type Cache struct {
 	ways      int
 	nSets     int
 	recs      []wayRec
-	plru      []bool   // nSets*2*Ways tree nodes (TreePLRU only), set-major
-	hint      []uint16 // per-set most-recently-hit way, a pure scan shortcut
 	gen       uint64
-	rnd       *rng.Source
 
 	Stats Stats
 }
 
-// New constructs a cache from cfg. The rnd source is only used by the
-// Random policy and may be nil otherwise.
-func New(cfg Config, rnd *rng.Source) (*Cache, error) {
+// New constructs a cache from cfg.
+func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Policy == Random && rnd == nil {
-		return nil, fmt.Errorf("cache %q: random policy requires an rng source", cfg.Name)
 	}
 	nSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	c := &Cache{
@@ -199,23 +176,16 @@ func New(cfg Config, rnd *rng.Source) (*Cache, error) {
 		ways:      cfg.Ways,
 		nSets:     nSets,
 		recs:      make([]wayRec, nSets*cfg.Ways),
-		hint:      make([]uint16, nSets),
-		rnd:       rnd,
 	}
 	for i := range c.recs {
 		c.recs[i].tag = invalidTag
-	}
-	if cfg.Policy == TreePLRU {
-		// Node 0 of each per-set tree is unused; a complete path over a
-		// non-power-of-two way count can reach index 2*Ways-1.
-		c.plru = make([]bool, nSets*2*cfg.Ways)
 	}
 	return c, nil
 }
 
 // MustNew is New that panics on config errors; for fixed baseline configs.
-func MustNew(cfg Config, rnd *rng.Source) *Cache {
-	c, err := New(cfg, rnd)
+func MustNew(cfg Config) *Cache {
+	c, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -259,46 +229,17 @@ func (c *Cache) Lookup(lineAddr uint64) State {
 
 // Probe returns the state of the line containing lineAddr, recording a
 // use (replacement touch) when the line is present. It is the hot-path
-// combination of Lookup and Touch in one way scan: every present-line
-// access updates recency, and Invalid means absent.
+// combination of a lookup and an LRU touch in one way scan: every
+// present-line access updates recency, and Invalid means absent.
 func (c *Cache) Probe(lineAddr uint64) State {
-	// Most hits land on the way the set hit last time; checking it first
-	// skips the way scan entirely. The hint is only a shortcut — a stale
-	// hint falls through to the scan and every outcome is identical.
-	si := c.setIndex(lineAddr)
-	base := si * c.ways
-	if h := base + int(c.hint[si]); c.recs[h].tag == lineAddr && c.plru == nil {
-		c.gen++
-		st := State(c.recs[h].useState)
-		c.recs[h].useState = c.gen<<stateBits | uint64(st)
-		return st
-	}
-	recs := c.recs[base : base+c.ways]
-	for w := range recs {
-		if recs[w].tag == lineAddr {
-			c.hint[si] = uint16(w)
-			c.gen++
-			st := State(recs[w].useState)
-			recs[w].useState = c.gen<<stateBits | uint64(st)
-			if c.plru != nil {
-				c.updatePLRU(si, w)
-			}
-			return st
-		}
-	}
-	return Invalid
-}
-
-// Touch records a use of the line for replacement purposes and counts a
-// hit. It must only be called when the line is present.
-func (c *Cache) Touch(lineAddr uint64) {
 	i := c.find(lineAddr)
 	if i < 0 {
-		panic(fmt.Sprintf("cache %q: Touch of absent line %#x", c.cfg.Name, lineAddr))
+		return Invalid
 	}
 	c.gen++
-	c.recs[i].useState = c.gen<<stateBits | c.recs[i].useState&(1<<stateBits-1)
-	c.updatePLRU(i/c.ways, i%c.ways)
+	st := State(c.recs[i].useState)
+	c.recs[i].useState = c.gen<<stateBits | uint64(st)
+	return st
 }
 
 // SetState transitions the MESI state of a present line (e.g. S->M on an
@@ -358,8 +299,6 @@ func (c *Cache) Allocate(lineAddr uint64, st State) (Victim, bool) {
 		if recs[w].tag == lineAddr {
 			c.gen++
 			recs[w].useState = c.gen<<stateBits | uint64(st)
-			c.hint[si] = uint16(w)
-			c.updatePLRU(si, w)
 			return Victim{}, false
 		}
 		if free < 0 && recs[w].tag == invalidTag {
@@ -367,7 +306,7 @@ func (c *Cache) Allocate(lineAddr uint64, st State) (Victim, bool) {
 		}
 	}
 	if free >= 0 {
-		c.fill(si, free, lineAddr, st)
+		c.fill(base+free, lineAddr, st)
 		return Victim{}, false
 	}
 	// Evict.
@@ -377,80 +316,29 @@ func (c *Cache) Allocate(lineAddr uint64, st State) (Victim, bool) {
 	if v.State == Modified || v.State == Owned {
 		c.Stats.Writebacks.Inc()
 	}
-	c.fill(si, vi-base, lineAddr, st)
+	c.fill(vi, lineAddr, st)
 	return v, true
 }
 
-func (c *Cache) fill(si, way int, lineAddr uint64, st State) {
+// fill writes lineAddr into flat way index i as the set's most recent use.
+func (c *Cache) fill(i int, lineAddr uint64, st State) {
 	c.gen++
-	c.recs[si*c.ways+way] = wayRec{tag: lineAddr, useState: c.gen<<stateBits | uint64(st)}
-	c.hint[si] = uint16(way)
-	c.updatePLRU(si, way)
+	c.recs[i] = wayRec{tag: lineAddr, useState: c.gen<<stateBits | uint64(st)}
 }
 
+// chooseVictim returns the least recently used way of set si. Ordering
+// the packed words is ordering the generation stamps: every stamp came
+// from a unique gen++, so the state byte never decides a comparison.
 func (c *Cache) chooseVictim(si int) int {
-	switch c.cfg.Policy {
-	case Random:
-		return c.rnd.Intn(c.ways)
-	case TreePLRU:
-		return c.plruVictim(si)
-	default: // LRU
-		// Ordering the packed words is ordering the generation stamps:
-		// every stamp came from a unique gen++, so the state byte never
-		// decides a comparison.
-		base := si * c.ways
-		recs := c.recs[base : base+c.ways]
-		best := 0
-		for i := 1; i < len(recs); i++ {
-			if recs[i].useState < recs[best].useState {
-				best = i
-			}
-		}
-		return best
-	}
-}
-
-// updatePLRU marks the path to `way` as most-recently-used: at each tree
-// node on the path, point the bit *away* from the accessed half.
-func (c *Cache) updatePLRU(si, way int) {
-	if c.cfg.Policy != TreePLRU {
-		return
-	}
-	base := si * 2 * c.ways
-	nodes := c.plru[base : base+2*c.ways]
-	node := 1
-	lo, hi := 0, c.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if way < mid {
-			nodes[node] = true // true: next victim search goes right
-			node = 2 * node
-			hi = mid
-		} else {
-			nodes[node] = false
-			node = 2*node + 1
-			lo = mid
+	base := si * c.ways
+	recs := c.recs[base : base+c.ways]
+	best := 0
+	for i := 1; i < len(recs); i++ {
+		if recs[i].useState < recs[best].useState {
+			best = i
 		}
 	}
-}
-
-// plruVictim walks the tree following the victim pointers.
-func (c *Cache) plruVictim(si int) int {
-	base := si * 2 * c.ways
-	nodes := c.plru[base : base+2*c.ways]
-	node := 1
-	lo, hi := 0, c.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if nodes[node] { // go right
-			node = 2*node + 1
-			lo = mid
-		} else {
-			node = 2 * node
-			hi = mid
-		}
-	}
-	return lo
+	return best
 }
 
 // Occupancy returns the number of valid lines, for diagnostics and tests.

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"offloadsim/internal/sim"
 )
 
 // FuzzSweepRequest feeds arbitrary request bodies through the decoder
 // POST /v1/sweeps uses, then through withDefaults. Nothing may panic,
-// and an accepted grid must stay within maxSweepPoints, so expanding it
-// is safe. The seed corpus is committed under testdata/fuzz.
+// and an accepted grid must stay within maxSweepPoints and
+// sim.MaxReplicas, so expanding and running it is safe. The seed corpus
+// is committed under testdata/fuzz.
 func FuzzSweepRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
@@ -28,6 +31,9 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if got := len(r.points()); got != n {
 			t.Fatalf("expanded %d points, want %d", got, n)
+		}
+		if r.Replicas > sim.MaxReplicas {
+			t.Fatalf("accepted %d replicas per point (cap %d): %s", r.Replicas, sim.MaxReplicas, body)
 		}
 	})
 }

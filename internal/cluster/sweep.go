@@ -105,8 +105,8 @@ func (r SweepRequest) withDefaults() (SweepRequest, error) {
 	default:
 		return r, fmt.Errorf("sweep: unknown mode %q (detailed, sampled, parallel)", r.Mode)
 	}
-	if r.Replicas < 0 {
-		return r, fmt.Errorf("sweep: negative replicas %d", r.Replicas)
+	if r.Replicas < 0 || r.Replicas > sim.MaxReplicas {
+		return r, fmt.Errorf("sweep: replicas %d outside [0, %d]", r.Replicas, sim.MaxReplicas)
 	}
 	if r.Replicas > 1 && r.Mode != "sampled" {
 		return r, fmt.Errorf("sweep: replicas %d requires mode \"sampled\"", r.Replicas)
@@ -156,8 +156,9 @@ func (r SweepRequest) points() []Point {
 	return out
 }
 
-// Row mirrors cmd/sweep's export row field-for-field, so a sweep
-// served by the fleet reads exactly like one run offline.
+// Row is one sweep point's export row. cmd/sweep builds its rows with
+// BuildRow too, so a sweep served by the fleet reads exactly like one
+// run offline.
 type Row struct {
 	Workload   string  `json:"workload"`
 	Policy     string  `json:"policy"`

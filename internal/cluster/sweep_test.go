@@ -138,6 +138,8 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		{Workloads: []string{"apache"}, Latencies: []int{-5}},
 		{Workloads: []string{"apache"}, Mode: "warp"},
 		{Workloads: []string{"apache"}, Replicas: 3},
+		{Workloads: []string{"apache"}, Mode: "sampled", Replicas: sim.MaxReplicas + 1},
+		{Workloads: []string{"apache"}, Mode: "sampled", Replicas: 1 << 30},
 		{Workloads: []string{"apache"}, Concurrency: -1},
 		// Grids past maxSweepPoints, including products that overflow int.
 		{Workloads: []string{"apache"}, Thresholds: make([]int, maxSweepPoints+1)},
@@ -154,6 +156,10 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 	if _, err := (SweepRequest{Workloads: make([]string, 2), Thresholds: make([]int, 64),
 		Latencies: make([]int, 32)}).withDefaults(); err != nil {
 		t.Errorf("grid of %d points rejected: %v", maxSweepPoints, err)
+	}
+	if _, err := (SweepRequest{Workloads: []string{"apache"}, Mode: "sampled",
+		Replicas: sim.MaxReplicas}).withDefaults(); err != nil {
+		t.Errorf("%d replicas rejected: %v", sim.MaxReplicas, err)
 	}
 }
 

@@ -21,7 +21,7 @@ func BenchmarkDirectoryLookup(b *testing.B) { enginebench.DirectoryLookup(b) }
 // invariant checker: the per-line presence gathering must reuse the
 // system's scratch storage instead of rebuilding a map per call.
 func BenchmarkCheckInvariants(b *testing.B) {
-	sys := coherence.MustNew(coherence.DefaultConfig(), nil)
+	sys := coherence.MustNew(coherence.DefaultConfig())
 	for la := uint64(0); la < 4096; la++ {
 		sys.Read(int(la)&1, la)
 	}

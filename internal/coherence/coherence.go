@@ -25,7 +25,6 @@ import (
 	"offloadsim/internal/cache"
 	"offloadsim/internal/interconnect"
 	"offloadsim/internal/memory"
-	"offloadsim/internal/rng"
 	"offloadsim/internal/stats"
 )
 
@@ -101,10 +100,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxNodes bounds Config.NumNodes: the sharer sets are 64-bit masks.
+const MaxNodes = 64
+
 // Validate checks the composite configuration.
 func (c Config) Validate() error {
-	if c.NumNodes < 1 || c.NumNodes > 64 {
-		return fmt.Errorf("coherence: NumNodes %d out of [1,64]", c.NumNodes)
+	if c.NumNodes < 1 || c.NumNodes > MaxNodes {
+		return fmt.Errorf("coherence: NumNodes %d out of [1,%d]", c.NumNodes, MaxNodes)
 	}
 	if err := c.L2.Validate(); err != nil {
 		return err
@@ -151,9 +153,8 @@ type System struct {
 	Stats Stats
 }
 
-// New builds the system. The rnd source seeds per-L2 replacement streams
-// when the configured policy needs one.
-func New(cfg Config, rnd *rng.Source) (*System, error) {
+// New builds the system.
+func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -170,14 +171,7 @@ func New(cfg Config, rnd *rng.Source) (*System, error) {
 	for i := 0; i < cfg.NumNodes; i++ {
 		l2cfg := cfg.L2
 		l2cfg.Name = fmt.Sprintf("%s%d", cfg.L2.Name, i)
-		var src *rng.Source
-		if l2cfg.Policy == cache.Random {
-			if rnd == nil {
-				return nil, fmt.Errorf("coherence: random L2 policy requires rng")
-			}
-			src = rnd.Fork()
-		}
-		l2, err := cache.New(l2cfg, src)
+		l2, err := cache.New(l2cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -187,8 +181,8 @@ func New(cfg Config, rnd *rng.Source) (*System, error) {
 }
 
 // MustNew is New that panics on error, for fixed experiment configs.
-func MustNew(cfg Config, rnd *rng.Source) *System {
-	s, err := New(cfg, rnd)
+func MustNew(cfg Config) *System {
+	s, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -281,6 +275,13 @@ func (s *System) handleVictim(node int, v cache.Victim) {
 
 // Read performs a coherent read of lineAddr by node and returns the access
 // latency in cycles. The bool result reports whether the L2 hit.
+//
+// Read stays out of line. Under default.pgo it fits the hot inlining
+// budget, and PGO would devirtualize cpu.Core's port call and inline it
+// into Core.missRef, pushing missRef past that budget. RunSegment's
+// replay loop relies on inlining missRef instead.
+//
+//go:noinline
 func (s *System) Read(node int, lineAddr uint64) (latency int, hit bool) {
 	l2 := s.l2s[node]
 	l2.Stats.Accesses.Inc()

@@ -45,7 +45,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestColdReadFillsExclusive(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	lat, hit := s.Read(0, 100)
 	if hit {
 		t.Fatal("cold read reported hit")
@@ -63,7 +63,7 @@ func TestColdReadFillsExclusive(t *testing.T) {
 }
 
 func TestReadHitIsL2Latency(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Read(0, 100)
 	lat, hit := s.Read(0, 100)
 	if !hit || lat != 12 {
@@ -72,7 +72,7 @@ func TestReadHitIsL2Latency(t *testing.T) {
 }
 
 func TestSilentEToMUpgrade(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Read(0, 100) // E
 	lat, hit := s.Write(0, 100)
 	if !hit || lat != 12 {
@@ -87,7 +87,7 @@ func TestSilentEToMUpgrade(t *testing.T) {
 }
 
 func TestReadSharingDowngradesOwner(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Write(0, 100) // node 0: M
 	lat, hit := s.Read(1, 100)
 	if hit {
@@ -112,7 +112,7 @@ func TestReadSharingDowngradesOwner(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	s := MustNew(tinyConfig(3), nil)
+	s := MustNew(tinyConfig(3))
 	s.Read(0, 100)
 	s.Read(1, 100)
 	s.Read(2, 100) // all Shared
@@ -138,7 +138,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestWriteStealsOwnership(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Write(0, 100) // node 0: M
 	_, hit := s.Write(1, 100)
 	if hit {
@@ -160,7 +160,7 @@ func TestWriteStealsOwnership(t *testing.T) {
 
 func TestPingPong(t *testing.T) {
 	// The N=0 pathology: two nodes alternately writing one line.
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	for i := 0; i < 10; i++ {
 		s.Write(i%2, 100)
 	}
@@ -174,7 +174,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestEvictionNotifiesDirectory(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	sets := uint64(s.L2(0).NumSets())
 	// Fill one set beyond capacity (2 ways) with dirty lines.
 	s.Write(0, 0)
@@ -194,7 +194,7 @@ func TestEvictionNotifiesDirectory(t *testing.T) {
 }
 
 func TestL1BackInvalidationHook(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	var dropped []uint64
 	s.RegisterL1Hook(0, func(la uint64) { dropped = append(dropped, la) })
 	s.Read(0, 100)
@@ -205,7 +205,7 @@ func TestL1BackInvalidationHook(t *testing.T) {
 }
 
 func TestL1HookFiresOnEviction(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	count := 0
 	s.RegisterL1Hook(0, func(uint64) { count++ })
 	sets := uint64(s.L2(0).NumSets())
@@ -218,7 +218,7 @@ func TestL1HookFiresOnEviction(t *testing.T) {
 }
 
 func TestAggregateL2HitRate(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Read(0, 100) // miss
 	s.Read(0, 100) // hit
 	s.Read(1, 200) // miss
@@ -229,7 +229,7 @@ func TestAggregateL2HitRate(t *testing.T) {
 }
 
 func TestResetStatsPreservesContents(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	s.Read(0, 100)
 	s.ResetStats()
 	if s.L2(0).Stats.Accesses.Value() != 0 {
@@ -241,7 +241,7 @@ func TestResetStatsPreservesContents(t *testing.T) {
 }
 
 func TestDirectoryShrinks(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil)
+	s := MustNew(tinyConfig(2))
 	sets := uint64(s.L2(0).NumSets())
 	for i := uint64(0); i < 8; i++ {
 		s.Read(0, i*sets) // conflict-evict through one set
@@ -257,7 +257,7 @@ func TestDirectoryShrinks(t *testing.T) {
 // and caches agree exactly.
 func TestQuickProtocolInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := MustNew(tinyConfig(3), nil)
+		s := MustNew(tinyConfig(3))
 		for _, op := range ops {
 			node := int(op) % 3
 			line := uint64((op >> 2) % 16)
@@ -279,7 +279,7 @@ func TestQuickProtocolInvariants(t *testing.T) {
 // exactly the L2 hit latency.
 func TestQuickLatencyBounds(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := MustNew(tinyConfig(2), nil)
+		s := MustNew(tinyConfig(2))
 		for _, op := range ops {
 			node := int(op) % 2
 			line := uint64((op >> 1) % 8)

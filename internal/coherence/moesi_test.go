@@ -14,7 +14,7 @@ func moesiConfig(nodes int) Config {
 }
 
 func TestMOESIReadSharingAvoidsWriteback(t *testing.T) {
-	s := MustNew(moesiConfig(2), nil)
+	s := MustNew(moesiConfig(2))
 	s.Write(0, 100) // node 0: M
 	s.Read(1, 100)  // MOESI: owner keeps dirty data in O
 	if s.L2(0).Lookup(100) != cache.Owned {
@@ -32,7 +32,7 @@ func TestMOESIReadSharingAvoidsWriteback(t *testing.T) {
 }
 
 func TestMESIReadSharingDoesWriteBack(t *testing.T) {
-	s := MustNew(tinyConfig(2), nil) // MESI default
+	s := MustNew(tinyConfig(2)) // MESI default
 	s.Write(0, 100)
 	s.Read(1, 100)
 	if s.Memory().Writebacks() != 1 {
@@ -44,7 +44,7 @@ func TestMESIReadSharingDoesWriteBack(t *testing.T) {
 }
 
 func TestMOESIOwnerServesSubsequentReaders(t *testing.T) {
-	s := MustNew(moesiConfig(3), nil)
+	s := MustNew(moesiConfig(3))
 	s.Write(0, 100)
 	s.Read(1, 100)
 	c2cBefore := s.Stats.C2CTransfers.Value()
@@ -61,7 +61,7 @@ func TestMOESIOwnerServesSubsequentReaders(t *testing.T) {
 }
 
 func TestMOESIOwnedEvictionWritesBack(t *testing.T) {
-	s := MustNew(moesiConfig(2), nil)
+	s := MustNew(moesiConfig(2))
 	sets := uint64(s.L2(0).NumSets())
 	s.Write(0, 0)
 	s.Read(1, 0) // node 0 owns line 0 in O
@@ -82,7 +82,7 @@ func TestMOESIOwnedEvictionWritesBack(t *testing.T) {
 }
 
 func TestMOESIOwnerWriteUpgrades(t *testing.T) {
-	s := MustNew(moesiConfig(2), nil)
+	s := MustNew(moesiConfig(2))
 	s.Write(0, 100)
 	s.Read(1, 100) // 0: O, 1: S
 	_, hit := s.Write(0, 100)
@@ -104,7 +104,7 @@ func TestMOESIOwnerWriteUpgrades(t *testing.T) {
 }
 
 func TestMOESISharerWriteStealsOwnership(t *testing.T) {
-	s := MustNew(moesiConfig(3), nil)
+	s := MustNew(moesiConfig(3))
 	s.Write(0, 100)
 	s.Read(1, 100)
 	s.Read(2, 100) // 0: O, 1: S, 2: S
@@ -124,7 +124,7 @@ func TestMOESISharerWriteStealsOwnership(t *testing.T) {
 }
 
 func TestMOESIWriteMissFromOutside(t *testing.T) {
-	s := MustNew(moesiConfig(3), nil)
+	s := MustNew(moesiConfig(3))
 	s.Write(0, 100)
 	s.Read(1, 100) // 0: O, 1: S
 	s.Write(2, 100)
@@ -142,7 +142,7 @@ func TestMOESIWriteMissFromOutside(t *testing.T) {
 // Property: MOESI preserves all protocol invariants under random traffic.
 func TestQuickMOESIInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := MustNew(moesiConfig(3), nil)
+		s := MustNew(moesiConfig(3))
 		for _, op := range ops {
 			node := int(op) % 3
 			line := uint64((op >> 2) % 16)
@@ -163,8 +163,8 @@ func TestQuickMOESIInvariants(t *testing.T) {
 // Property: MOESI never writes back more than MESI on the same traffic.
 func TestQuickMOESIWritebackBound(t *testing.T) {
 	f := func(ops []uint16) bool {
-		mesi := MustNew(tinyConfig(2), nil)
-		moesi := MustNew(moesiConfig(2), nil)
+		mesi := MustNew(tinyConfig(2))
+		moesi := MustNew(moesiConfig(2))
 		for _, op := range ops {
 			node := int(op) % 2
 			line := uint64((op >> 1) % 8)
@@ -195,8 +195,8 @@ func TestProtocolString(t *testing.T) {
 // protocols differ only in memory writeback traffic.
 func TestQuickProtocolHitMissEquivalence(t *testing.T) {
 	f := func(ops []uint16) bool {
-		mesi := MustNew(tinyConfig(3), nil)
-		moesi := MustNew(moesiConfig(3), nil)
+		mesi := MustNew(tinyConfig(3))
+		moesi := MustNew(moesiConfig(3))
 		for _, op := range ops {
 			node := int(op) % 3
 			line := uint64((op >> 2) % 16)

@@ -166,11 +166,11 @@ func New(id, node int, cfg Config, sys *coherence.System) (*Core, error) {
 	l1iCfg.Name = fmt.Sprintf("%s%d", cfg.L1I.Name, id)
 	l1dCfg := cfg.L1D
 	l1dCfg.Name = fmt.Sprintf("%s%d", cfg.L1D.Name, id)
-	l1i, err := cache.New(l1iCfg, nil)
+	l1i, err := cache.New(l1iCfg)
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := cache.New(l1dCfg, nil)
+	l1d, err := cache.New(l1dCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func testSystem(nodes int) *coherence.System {
 		DirectoryLatency: 10,
 		Fabric:           interconnect.Config{LinkLatency: 4, RouterLatency: 1},
 		Memory:           memory.Config{Latency: 350},
-	}, nil)
+	})
 }
 
 func testSegment(t testing.TB, seed uint64) (*trace.Generator, trace.Segment) {

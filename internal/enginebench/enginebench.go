@@ -28,7 +28,7 @@ import (
 // for every L1-missing reference that L2 still holds.
 func CacheProbe(b *testing.B) {
 	cfg := coherence.DefaultL2Config()
-	c := cache.MustNew(cfg, nil)
+	c := cache.MustNew(cfg)
 	// Fill 1024 consecutive line addresses (64 sets x 16 ways).
 	const span = 1024
 	for la := uint64(0); la < span; la++ {
@@ -49,7 +49,7 @@ func CacheProbe(b *testing.B) {
 // lookup, entry management and memory fill — the path the open-addressed
 // directory table exists to make cheap.
 func DirectoryMiss(b *testing.B) {
-	sys := coherence.MustNew(coherence.DefaultConfig(), nil)
+	sys := coherence.MustNew(coherence.DefaultConfig())
 	l2cfg := coherence.DefaultL2Config()
 	span := uint64(2 * l2cfg.SizeBytes / l2cfg.LineBytes) // 2x L2 capacity
 	b.ReportAllocs()
@@ -64,7 +64,7 @@ func DirectoryMiss(b *testing.B) {
 // every access is an ownership transfer through an existing directory
 // entry (lookup + sharer bookkeeping, no entry churn).
 func DirectoryLookup(b *testing.B) {
-	sys := coherence.MustNew(coherence.DefaultConfig(), nil)
+	sys := coherence.MustNew(coherence.DefaultConfig())
 	const span = 256
 	for la := uint64(0); la < span; la++ {
 		sys.Write(0, la)
@@ -89,7 +89,8 @@ type stepFixture struct {
 
 func newStepFixture(nSegs int) *stepFixture {
 	root := rng.New(7)
-	sys := coherence.MustNew(coherence.DefaultConfig(), root.Fork())
+	root.Fork() // unread: keeps the kernel and generator streams sim.New draws
+	sys := coherence.MustNew(coherence.DefaultConfig())
 	c := cpu.MustNew(0, 0, cpu.DefaultConfig(), sys)
 	space := &trace.AddressSpace{}
 	kernel := trace.NewKernelLayout(space, root.Fork())

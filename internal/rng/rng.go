@@ -1,8 +1,8 @@
 // Package rng provides the deterministic pseudo-random number generation
 // used throughout the simulator. Every stochastic component of the system
-// (workload generators, run-length noise, interrupt arrival, replacement
-// tie-breaking) draws from a seeded Source so that whole-system simulations
-// are reproducible bit-for-bit across runs and platforms.
+// (workload generators, run-length noise, interrupt arrival) draws from a
+// seeded Source so that whole-system simulations are reproducible
+// bit-for-bit across runs and platforms.
 //
 // The generator is SplitMix64 (Steele, Lea, Flood; JavaOne 2014), chosen for
 // its tiny state, full 2^64 period per stream, and the ability to fork
@@ -146,25 +146,6 @@ func (s *Source) Range(lo, hi int) int {
 		panic("rng: Range with hi < lo")
 	}
 	return lo + s.Intn(hi-lo+1)
-}
-
-// Normal returns a draw from the normal distribution with the given mean
-// and standard deviation, using the Box-Muller transform.
-func (s *Source) Normal(mean, stddev float64) float64 {
-	// Avoid log(0) by nudging u1 away from zero.
-	u1 := s.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
-	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// LogNormal returns a draw from the log-normal distribution whose underlying
-// normal has parameters mu and sigma.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
 }
 
 // Geometric returns the number of failures before the first success in a

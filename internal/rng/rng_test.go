@@ -151,25 +151,6 @@ func TestRangeInclusive(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	s := New(23)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.Normal(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Normal mean = %v, want ~10", mean)
-	}
-	if math.Abs(variance-4) > 0.2 {
-		t.Fatalf("Normal variance = %v, want ~4", variance)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	s := New(29)
 	const p = 0.2

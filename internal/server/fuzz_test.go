@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"offloadsim/internal/coherence"
 	"offloadsim/internal/cpu"
 	"offloadsim/internal/sim"
 )
@@ -13,7 +14,8 @@ import (
 // decoder the POST /v1/jobs and /v1/peer/execute handlers use, then
 // through admission (JobSpec.Config). Nothing may panic, and an admitted
 // spec must canonicalize to a cache key with every allocation size the
-// body controls inside its admission bound. The seed corpus, valid and
+// body controls (OS-core slots and L1s, replicas, cores) inside its
+// admission bound. The seed corpus, valid and
 // invalid bodies of every mode, is committed under testdata/fuzz.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -27,7 +29,8 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := sim.Canonicalize(cfg); err != nil {
+		cc, err := sim.Canonicalize(cfg)
+		if err != nil {
 			t.Fatalf("admitted spec %s does not canonicalize: %v", body, err)
 		}
 		if _, err := sim.CanonicalKey(cfg); err != nil {
@@ -35,6 +38,12 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if cfg.OSCoreSlots > sim.MaxOSCores {
 			t.Fatalf("admitted spec %s: %d OS-core slots above %d", body, cfg.OSCoreSlots, sim.MaxOSCores)
+		}
+		if cc.Sampling.Replicas > sim.MaxReplicas {
+			t.Fatalf("admitted spec %s: %d replicas above %d", body, cc.Sampling.Replicas, sim.MaxReplicas)
+		}
+		if n := cc.Coherence.NumNodes; n < 1 || n > coherence.MaxNodes {
+			t.Fatalf("admitted spec %s: %d user + OS cores outside [1, %d]", body, n, coherence.MaxNodes)
 		}
 		if user := cpu.DefaultConfig(); cfg.OSCPU != nil &&
 			(cfg.OSCPU.L1I.SizeBytes > user.L1I.SizeBytes || cfg.OSCPU.L1D.SizeBytes > user.L1D.SizeBytes) {

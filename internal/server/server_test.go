@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"offloadsim/internal/cluster"
+	"offloadsim/internal/coherence"
 	"offloadsim/internal/sim"
 )
 
@@ -427,6 +429,23 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Workload: "apache", OSSlots: 1 << 40},
 		{Workload: "apache", OSL1KB: 64},
 		{Workload: "apache", OSL1KB: 1 << 30},
+		{Workload: "apache", Mode: "sampled", Replicas: sim.MaxReplicas + 1},
+		{Workload: "apache", Mode: "sampled", Replicas: 1 << 30},
+		// User cores plus OS cores past the coherence node limit.
+		{Workload: "apache", Cores: 100},
+		{Workload: "apache", Cores: math.MaxInt},
+		{Workload: "apache", Cores: coherence.MaxNodes},
+		{Workload: "apache", Cores: coherence.MaxNodes - 2, OSCores: 4},
+	}
+	// The bounds themselves are admitted.
+	for _, ok := range []JobSpec{
+		{Workload: "apache", Mode: "sampled", Replicas: sim.MaxReplicas},
+		{Workload: "apache", Cores: coherence.MaxNodes - 1},
+		{Workload: "apache", Policy: "baseline", Cores: coherence.MaxNodes},
+	} {
+		if _, err := ok.Config(); err != nil {
+			t.Errorf("spec at the bound rejected: %v", err)
+		}
 	}
 	for i, spec := range bad {
 		body, _ := json.Marshal(spec)
@@ -454,6 +473,18 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized sweep grid: HTTP %d, want 400", resp.StatusCode)
+	}
+	// So is a sweep asking for more replicas per point than a job may.
+	many, _ := json.Marshal(cluster.SweepRequest{
+		Workloads: []string{"apache"}, Mode: "sampled", Replicas: sim.MaxReplicas + 1,
+	})
+	resp, err = http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(many))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("sweep with %d replicas: HTTP %d, want 400", sim.MaxReplicas+1, resp.StatusCode)
 	}
 	// Unknown fields are rejected too (catches client typos like "sede").
 	if code, _, _ := postJob(t, ts, []byte(`{"workload":"apache","sede":3}`)); code != http.StatusBadRequest {

@@ -5,6 +5,7 @@ import (
 
 	"offloadsim/internal/coherence"
 	"offloadsim/internal/core"
+	"offloadsim/internal/cpu"
 	"offloadsim/internal/migration"
 	"offloadsim/internal/policy"
 	"offloadsim/internal/workloads"
@@ -165,5 +166,26 @@ func TestCanonicalizeProducesRunnableConfig(t *testing.T) {
 	}
 	if _, err := New(cc); err != nil {
 		t.Fatalf("New(canonicalized): %v", err)
+	}
+}
+
+// TestCanonicalKeyPinned pins two keys as literals. A key is the offsimd
+// result-cache address and the name of every committed benchmark digest,
+// so it must not move when a hashed config struct (cache.Config included)
+// gains, loses or renames a field.
+func TestCanonicalKeyPinned(t *testing.T) {
+	base := DefaultConfig(workloads.Apache())
+	if got, want := mustKey(t, base), "14b64b6d4e54f5bde437dba2953bfeb690c1094925b658734ade53a80f36e16f"; got != want {
+		t.Errorf("default apache key = %s, want %s", got, want)
+	}
+
+	c := DefaultConfig(workloads.Apache())
+	c.Coherence.Protocol = coherence.MOESI
+	osCPU := cpu.DefaultConfig()
+	osCPU.L1I.SizeBytes = 16 << 10
+	osCPU.L1D.SizeBytes = 16 << 10
+	c.OSCPU = &osCPU
+	if got, want := mustKey(t, c), "c3b3b73f305a94f61e670acc9809b734728c6476b5f477e2c2fc6d74223d2586"; got != want {
+		t.Errorf("MOESI + 16 KB OS-core L1 key = %s, want %s", got, want)
 	}
 }

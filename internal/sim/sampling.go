@@ -90,6 +90,11 @@ type Sampling struct {
 	Replicas int
 }
 
+// MaxReplicas bounds Sampling.Replicas. Run sizes its per-replica state
+// from the count before any replica runs, and the error bound tightens
+// only as 1/sqrt(Replicas), so a few dozen is already plenty.
+const MaxReplicas = 64
+
 // DefaultSampling returns an enabled block with the default parameters.
 func DefaultSampling() Sampling {
 	return Sampling{Enabled: true}.withDefaults()
@@ -147,8 +152,8 @@ func (s Sampling) Validate() error {
 	if s.DetailedWarmIntervals >= s.Ratio {
 		return fmt.Errorf("sim: sampling detailed warm intervals %d >= ratio %d", s.DetailedWarmIntervals, s.Ratio)
 	}
-	if s.Replicas < 1 {
-		return fmt.Errorf("sim: sampling replicas %d < 1", s.Replicas)
+	if s.Replicas < 1 || s.Replicas > MaxReplicas {
+		return fmt.Errorf("sim: sampling replicas %d outside [1, %d]", s.Replicas, MaxReplicas)
 	}
 	if s.Warming != WarmFunctional && s.Warming != WarmDetailed {
 		return fmt.Errorf("sim: unknown warm policy %d", int(s.Warming))

@@ -242,6 +242,14 @@ func (c *Config) Validate() error {
 	if err := c.OSCores.Validate(); err != nil {
 		return err
 	}
+	// Every user and OS core is one coherence node. k <= MaxOSCores here,
+	// so the subtraction cannot overflow where a sum of cores could.
+	d := *c
+	d.OSCores = d.OSCores.withDefaults()
+	if k := d.clusterK(); c.UserCores > coherence.MaxNodes-k {
+		return fmt.Errorf("sim: %d user + %d OS cores exceed %d coherence nodes",
+			c.UserCores, k, coherence.MaxNodes)
+	}
 	// The parallel engine's quantum barriers reconcile the reservations
 	// of the cluster's first queue only; multi-queue routing, speed
 	// scaling and async return slots would need their own cross-quantum
@@ -341,7 +349,10 @@ func New(cfg Config) (*Simulator, error) {
 	cfg.Coherence.NumNodes = nodes
 
 	root := rng.New(cfg.Seed)
-	sys, err := coherence.New(cfg.Coherence, root.Fork())
+	// The first fork feeds nothing. It is still drawn so the streams
+	// forked below, and so every result the golden corpus pins, stay put.
+	root.Fork()
+	sys, err := coherence.New(cfg.Coherence)
 	if err != nil {
 		return nil, err
 	}
