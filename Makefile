@@ -9,9 +9,9 @@ GO ?= go
 .PHONY: ci fmt vet test race server-race build build-examples bench \
 	bench-engine bench-parallel bench-cluster \
 	accuracy accuracy-parallel golden golden-check fuzz-smoke \
-	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests
+	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests fma-check
 
-ci: fmt vet build-examples race golden-check bench-test bench-digests fuzz-smoke telemetry-overhead obs-smoke cluster-e2e accuracy accuracy-parallel
+ci: fmt vet fma-check build-examples race golden-check bench-test bench-digests fuzz-smoke telemetry-overhead obs-smoke cluster-e2e accuracy accuracy-parallel
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,22 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Cross-architecture determinism gate, part of `make ci`. On arm64 the
+# compiler fuses x*y + z into one multiply-add that rounds once, where
+# amd64 rounds twice, so a fused product on a result path would make
+# result bytes depend on the host architecture. Each such product is
+# wrapped in an explicit float64(...) conversion, which the Go spec
+# defines as forbidding fusion. The gate is static: no arm64 host or
+# emulator is available to replay the goldens, so it cross-compiles for
+# arm64 and fails on any fused instruction in the assembly.
+fma-check:
+	@GOARCH=arm64 $(GO) build ./... || { echo "fma-check: arm64 build failed"; exit 1; }
+	@out="$$(GOARCH=arm64 $(GO) build -gcflags='offloadsim/...=-S' ./... 2>&1 | grep -E '\bF(N)?M(ADD|SUB)[DS]\b')"; \
+	if [ -n "$$out" ]; then \
+		echo "fma-check: fused multiply-adds on arm64; wrap each product in float64(...):"; \
+		echo "$$out"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

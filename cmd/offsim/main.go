@@ -15,6 +15,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,144 +24,104 @@ import (
 	"offloadsim"
 )
 
-func main() {
+// run is a parsed offsim command line: the simulation's config and the
+// output options around it.
+type run struct {
+	cfg        offloadsim.Config
+	jsonOut    bool
+	energy     bool
+	compare    bool
+	traceFile  string
+	traceFmt   string
+	seriesFile string
+	traceIval  uint64
+}
+
+// parseArgs binds the flags to an offloadsim.Spec and builds the config
+// through Spec.Config, so the command line shares the wire's defaults,
+// bounds and error messages. Every check runs here, before anything is
+// simulated.
+func parseArgs(args []string) (run, error) {
 	var (
-		workload   = flag.String("workload", "apache", "workload profile: "+strings.Join(offloadsim.WorkloadNames(), ", "))
-		policyName = flag.String("policy", "HI", "decision policy: baseline, SI, DI, HI")
-		threshold  = flag.Int("n", 1000, "off-load threshold N in instructions")
-		latency    = flag.Int("latency", 100, "one-way migration latency in cycles")
-		cores      = flag.Int("cores", 1, "user cores sharing the OS core")
-		dynamic    = flag.Bool("dynamic", false, "enable the dynamic threshold tuner (DI/HI)")
-		dmPred     = flag.Bool("dm-predictor", false, "use the 1500-entry direct-mapped predictor instead of the 200-entry CAM")
-		warmup     = flag.Uint64("warmup", 1_000_000, "warmup instructions per core")
-		measure    = flag.Uint64("measure", 2_000_000, "measured instructions per core")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		instrOnly  = flag.Bool("instrument-only", false, "charge decision overhead but never migrate (Figure 1 mode)")
-		compare    = flag.Bool("baseline-compare", false, "also run the no-off-loading baseline and report normalized throughput")
-		energyRpt  = flag.Bool("energy", false, "evaluate the run under the default asymmetric-CMP energy model")
-		jsonOut    = flag.Bool("json", false, "emit the full result as JSON instead of text")
-		osSlots    = flag.Int("os-slots", 1, "OS core hardware contexts (SMT extension)")
-		moesi      = flag.Bool("moesi", false, "use the MOESI coherence protocol instead of MESI")
-		osL1KB     = flag.Int("os-l1", 0, "OS core L1 size in KB (0 = same as user cores)")
-		traceFile  = flag.String("trace", "", "write a telemetry event trace of the measured phase to this file (docs/TELEMETRY.md)")
-		traceFmt   = flag.String("trace-format", "chrome", "trace file format: chrome (Perfetto-loadable) or jsonl")
-		seriesFile = flag.String("timeseries", "", "write the interval time-series to this CSV file")
-		traceIval  = flag.Uint64("trace-interval", 50_000, "time-series sampling cadence in retired instructions (with -timeseries)")
-		osCores    = flag.Int("os-cores", 1, "OS cores in the off-load cluster (docs/OSCORES.md)")
-		affinity   = flag.String("affinity", "", "syscall-class affinity map, e.g. 'file=0,network=1,*=0' (requires -os-cores > 1)")
-		asymmetry  = flag.String("asymmetry", "", "per-OS-core speed factors, e.g. '1,0.5' (big/little cluster)")
-		async      = flag.Bool("async", false, "fire-and-forget off-load for side-effect-only syscall classes")
-		asyncSlots = flag.Int("async-slots", 0, "outstanding async off-loads per user core (0 = default, requires -async)")
-		depthN     = flag.Int("depth-n", 0, "queue-depth threshold penalty per backlogged request (dynamic-N extension)")
-		rebalance  = flag.Bool("rebalance", false, "route to a strictly less-backlogged OS core over the designated one")
+		r    run
+		spec offloadsim.Spec
+		fs   = flag.NewFlagSet("offsim", flag.ContinueOnError)
 	)
-	flag.Parse()
-
-	// Validate every flag up front so nonsense values fail immediately
-	// with a clear message instead of deep inside Config.Validate (or,
-	// worse, silently producing a meaningless run).
-	if *threshold < 0 {
-		fatalUsage("-n must be >= 0 (got %d)", *threshold)
+	fs.StringVar(&spec.Workload, "workload", "apache", "workload profile: "+strings.Join(offloadsim.WorkloadNames(), ", "))
+	fs.StringVar(&spec.Policy, "policy", "HI", "decision policy: baseline, SI, DI, HI")
+	spec.Threshold = fs.Int("n", 1000, "off-load threshold N in instructions")
+	spec.LatencyCycles = fs.Int("latency", 100, "one-way migration latency in cycles")
+	fs.IntVar(&spec.Cores, "cores", 1, "user cores sharing the OS core")
+	fs.BoolVar(&spec.DynamicN, "dynamic", false, "enable the dynamic threshold tuner (DI/HI)")
+	fs.BoolVar(&spec.DMPredictor, "dm-predictor", false, "use the 1500-entry direct-mapped predictor instead of the 200-entry CAM")
+	spec.WarmupInstrs = fs.Uint64("warmup", 1_000_000, "warmup instructions per core")
+	spec.MeasureInstrs = fs.Uint64("measure", 2_000_000, "measured instructions per core")
+	spec.Seed = fs.Uint64("seed", 1, "random seed")
+	fs.BoolVar(&spec.InstrumentOnly, "instrument-only", false, "charge decision overhead but never migrate (Figure 1 mode)")
+	fs.BoolVar(&r.compare, "baseline-compare", false, "also run the no-off-loading baseline and report normalized throughput")
+	fs.BoolVar(&r.energy, "energy", false, "evaluate the run under the default asymmetric-CMP energy model")
+	fs.BoolVar(&r.jsonOut, "json", false, "emit the full result as JSON instead of text")
+	fs.IntVar(&spec.OSSlots, "os-slots", 1, "OS core hardware contexts (SMT extension)")
+	fs.BoolVar(&spec.MOESI, "moesi", false, "use the MOESI coherence protocol instead of MESI")
+	fs.IntVar(&spec.OSL1KB, "os-l1", 0, "OS core L1 size in KB (0 = same as user cores)")
+	fs.StringVar(&r.traceFile, "trace", "", "write a telemetry event trace of the measured phase to this file (docs/TELEMETRY.md)")
+	fs.StringVar(&r.traceFmt, "trace-format", "chrome", "trace file format: chrome (Perfetto-loadable) or jsonl")
+	fs.StringVar(&r.seriesFile, "timeseries", "", "write the interval time-series to this CSV file")
+	fs.Uint64Var(&r.traceIval, "trace-interval", 50_000, "time-series sampling cadence in retired instructions (with -timeseries)")
+	fs.IntVar(&spec.OSCores, "os-cores", 1, "OS cores in the off-load cluster (docs/OSCORES.md)")
+	fs.StringVar(&spec.Affinity, "affinity", "", "syscall-class affinity map, e.g. 'file=0,network=1,*=0' (requires -os-cores > 1)")
+	fs.StringVar(&spec.Asymmetry, "asymmetry", "", "per-OS-core speed factors, e.g. '1,0.5' (big/little cluster)")
+	fs.BoolVar(&spec.Async, "async", false, "fire-and-forget off-load for side-effect-only syscall classes")
+	fs.IntVar(&spec.AsyncSlots, "async-slots", 0, "outstanding async off-loads per user core (0 = default, requires -async)")
+	fs.IntVar(&spec.DepthN, "depth-n", 0, "queue-depth threshold penalty per backlogged request (dynamic-N extension)")
+	fs.BoolVar(&spec.Rebalance, "rebalance", false, "route to a strictly less-backlogged OS core over the designated one")
+	if err := fs.Parse(args); err != nil {
+		return r, err
 	}
-	if *latency < 0 {
-		fatalUsage("-latency must be >= 0 cycles (got %d)", *latency)
+	if fs.NArg() > 0 {
+		return r, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	if *cores < 1 {
-		fatalUsage("-cores must be >= 1 (got %d)", *cores)
+	if r.traceFmt != "chrome" && r.traceFmt != "jsonl" {
+		return r, fmt.Errorf("-trace-format must be chrome or jsonl (got %q)", r.traceFmt)
 	}
-	if *osSlots < 1 {
-		fatalUsage("-os-slots must be >= 1 (got %d)", *osSlots)
+	if r.seriesFile != "" && r.traceIval == 0 {
+		return r, fmt.Errorf("-trace-interval must be positive with -timeseries")
 	}
-	if *measure == 0 {
-		fatalUsage("-measure must be positive")
-	}
-	if *osL1KB < 0 {
-		fatalUsage("-os-l1 must be >= 0 KB (got %d)", *osL1KB)
-	}
-	if *traceFmt != "chrome" && *traceFmt != "jsonl" {
-		fatalUsage("-trace-format must be chrome or jsonl (got %q)", *traceFmt)
-	}
-	if *seriesFile != "" && *traceIval == 0 {
-		fatalUsage("-trace-interval must be positive with -timeseries")
-	}
-	oscoresBlock, oscErr := oscoresFlags{
-		K: *osCores, Affinity: *affinity, Asymmetry: *asymmetry,
-		Async: *async, AsyncSlots: *asyncSlots, DepthN: *depthN, Rebalance: *rebalance,
-	}.block()
-	if oscErr != nil {
-		fatalUsage("%v", oscErr)
-	}
-	if flag.NArg() > 0 {
-		fatalUsage("unexpected arguments: %s", strings.Join(flag.Args(), " "))
-	}
-
-	prof, ok := offloadsim.WorkloadByName(*workload)
-	if !ok {
-		fatalUsage("unknown workload %q (have: %s)",
-			*workload, strings.Join(offloadsim.WorkloadNames(), ", "))
-	}
-	kind, ok := offloadsim.ParsePolicy(*policyName)
-	if !ok {
-		fatalUsage("unknown policy %q (baseline, SI, DI, HI, oracle)", *policyName)
-	}
-
-	cfg := offloadsim.DefaultConfig(prof)
-	cfg.Policy = kind
-	cfg.Threshold = *threshold
-	cfg.Migration = offloadsim.CustomMigration(*latency)
-	cfg.UserCores = *cores
-	cfg.WarmupInstrs = *warmup
-	cfg.MeasureInstrs = *measure
-	cfg.Seed = *seed
-	cfg.InstrumentOnly = *instrOnly
-	cfg.DirectMappedPredictor = *dmPred
-	cfg.OSCoreSlots = *osSlots
-	cfg.OSCores = oscoresBlock
-	if *moesi {
-		cc := offloadsim.DefaultCoherenceConfig()
-		cc.Protocol = offloadsim.MOESI
-		cfg.Coherence = cc
-	}
-	if *osL1KB > 0 {
-		osCPU := offloadsim.DefaultCPUConfig()
-		osCPU.L1I.SizeBytes = *osL1KB << 10
-		osCPU.L1D.SizeBytes = *osL1KB << 10
-		cfg.OSCPU = &osCPU
-	}
-	if *dynamic {
-		cfg.DynamicN = true
-		tc := offloadsim.DefaultTunerConfig()
-		tc.SampleEpoch = *measure / 40
-		if tc.SampleEpoch < 1000 {
-			tc.SampleEpoch = 1000
-		}
-		tc.BaseRun = tc.SampleEpoch * 4
-		tc.MaxRun = tc.BaseRun * 4
-		cfg.Tuner = tc
-	}
-
-	var res offloadsim.Result
 	var err error
-	if *traceFile != "" || *seriesFile != "" {
+	r.cfg, err = spec.Config()
+	return r, err
+}
+
+func main() {
+	r, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "offsim: %v\n", err)
+		os.Exit(2)
+	}
+	var res offloadsim.Result
+	if r.traceFile != "" || r.seriesFile != "" {
 		// Telemetry is attachment-only: the traced Result is
 		// byte-identical to an untraced run of the same config.
-		opts := offloadsim.TelemetryOptions{Events: *traceFile != ""}
-		if *seriesFile != "" {
-			opts.IntervalInstrs = *traceIval
+		opts := offloadsim.TelemetryOptions{Events: r.traceFile != ""}
+		if r.seriesFile != "" {
+			opts.IntervalInstrs = r.traceIval
 		}
 		var capt *offloadsim.TraceCapture
-		res, capt, err = offloadsim.RunTraced(cfg, opts)
+		res, capt, err = offloadsim.RunTraced(r.cfg, opts)
 		if err == nil {
-			err = writeTelemetry(capt, *traceFile, *traceFmt, *seriesFile)
+			err = writeTelemetry(capt, r.traceFile, r.traceFmt, r.seriesFile)
 		}
 	} else {
-		res, err = offloadsim.Run(cfg)
+		res, err = offloadsim.Run(r.cfg)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "offsim: %v\n", err)
 		os.Exit(1)
 	}
-	if *jsonOut {
+	if r.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -171,7 +132,7 @@ func main() {
 	}
 	printResult(res)
 
-	if *energyRpt {
+	if r.energy {
 		rep, err := offloadsim.Energy(res, offloadsim.DefaultEnergyModel())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "offsim: energy: %v\n", err)
@@ -181,8 +142,8 @@ func main() {
 			rep.Joules, rep.Seconds, rep.AvgWatts, rep.EDP)
 	}
 
-	if *compare {
-		base := cfg
+	if r.compare {
+		base := r.cfg
 		base.Policy = offloadsim.Baseline
 		base.DynamicN = false
 		baseRes, err := offloadsim.Run(base)
@@ -193,11 +154,6 @@ func main() {
 		fmt.Printf("\nbaseline throughput     %.4f\n", baseRes.Throughput)
 		fmt.Printf("normalized throughput   %.3f\n", res.Throughput/baseRes.Throughput)
 	}
-}
-
-func fatalUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "offsim: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 // writeTelemetry exports the capture to the requested trace and/or

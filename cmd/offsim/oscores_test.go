@@ -7,163 +7,165 @@ import (
 	"offloadsim"
 )
 
-// TestOSCoresFlagBlock exercises the up-front validation of the
-// -os-cores/-affinity/-asymmetry flag family: every rejection must name
-// the offending flag, and accepted combinations must build the exact
-// Config block the engine will see.
+// TestOSCoresFlagBlock exercises the -os-cores/-affinity/-asymmetry
+// flag family through the flag → Spec → Config path: every rejection
+// carries the spec's or the engine's reason, and accepted combinations
+// build the exact Config block the engine will see.
 func TestOSCoresFlagBlock(t *testing.T) {
 	cases := []struct {
 		name    string
-		flags   oscoresFlags
+		args    []string
 		want    offloadsim.OSCores
 		wantErr string // substring of the error, "" for success
 	}{
 		{
-			name:  "defaults collapse to the legacy single-OS-core model",
-			flags: oscoresFlags{K: 1},
-			want:  offloadsim.OSCores{},
+			name: "defaults collapse to the legacy single-OS-core model",
+			want: offloadsim.OSCores{},
 		},
 		{
-			name:  "plain k=2 cluster",
-			flags: oscoresFlags{K: 2},
-			want:  offloadsim.OSCores{Enabled: true, K: 2},
+			name: "plain k=2 cluster",
+			args: []string{"-os-cores", "2"},
+			want: offloadsim.OSCores{Enabled: true, K: 2},
 		},
 		{
-			name:  "k=1 with async still enables the cluster model",
-			flags: oscoresFlags{K: 1, Async: true},
-			want:  offloadsim.OSCores{Enabled: true, K: 1, Async: true},
+			name: "k=1 with async still enables the cluster model",
+			args: []string{"-async"},
+			want: offloadsim.OSCores{Enabled: true, K: 1, Async: true},
 		},
 		{
-			name:  "explicit affinity and asymmetry carried through",
-			flags: oscoresFlags{K: 2, Affinity: "file=0,network=1", Asymmetry: "1,0.5"},
+			name: "explicit affinity and asymmetry carried through",
+			args: []string{"-os-cores", "2", "-affinity", "file=0,network=1", "-asymmetry", "1,0.5"},
 			want: offloadsim.OSCores{
 				Enabled: true, K: 2,
 				Affinity: "file=0,network=1", Asymmetry: "1,0.5",
 			},
 		},
 		{
-			name:  "wildcard affinity",
-			flags: oscoresFlags{K: 4, Affinity: "*=0,trap=3"},
-			want:  offloadsim.OSCores{Enabled: true, K: 4, Affinity: "*=0,trap=3"},
+			name: "wildcard affinity",
+			args: []string{"-os-cores", "4", "-affinity", "*=0,trap=3"},
+			want: offloadsim.OSCores{Enabled: true, K: 4, Affinity: "*=0,trap=3"},
 		},
 		{
-			name:  "async slots with async",
-			flags: oscoresFlags{K: 2, Async: true, AsyncSlots: 4},
-			want:  offloadsim.OSCores{Enabled: true, K: 2, Async: true, AsyncSlots: 4},
+			name: "async slots with async",
+			args: []string{"-os-cores", "2", "-async", "-async-slots", "4"},
+			want: offloadsim.OSCores{Enabled: true, K: 2, Async: true, AsyncSlots: 4},
 		},
 		{
-			name:  "depth-n and rebalance carried through",
-			flags: oscoresFlags{K: 2, DepthN: 500, Rebalance: true},
-			want:  offloadsim.OSCores{Enabled: true, K: 2, DepthN: 500, Rebalance: true},
+			name: "depth-n and rebalance carried through",
+			args: []string{"-os-cores", "2", "-depth-n", "500", "-rebalance"},
+			want: offloadsim.OSCores{Enabled: true, K: 2, DepthN: 500, Rebalance: true},
 		},
 		{
-			name:    "zero os-cores",
-			flags:   oscoresFlags{K: 0},
-			wantErr: "-os-cores must be >= 1",
+			// Refused before the flags went through the Spec; now 0 takes
+			// the default single OS core, as os_cores 0 does on the wire.
+			name: "zero os-cores",
+			args: []string{"-os-cores", "0"},
+			want: offloadsim.OSCores{},
 		},
 		{
 			name:    "negative os-cores",
-			flags:   oscoresFlags{K: -3},
-			wantErr: "-os-cores must be >= 1",
+			args:    []string{"-os-cores", "-3"},
+			wantErr: "negative os_cores -3",
 		},
 		{
 			name:    "os-cores beyond the cap",
-			flags:   oscoresFlags{K: offloadsim.MaxOSCores + 1},
-			wantErr: "-os-cores must be <=",
+			args:    []string{"-os-cores", "65"},
+			wantErr: "OSCores.K 65 > 64",
 		},
 		{
 			name:    "affinity core index out of range",
-			flags:   oscoresFlags{K: 2, Affinity: "file=2"},
-			wantErr: "-affinity:",
+			args:    []string{"-os-cores", "2", "-affinity", "file=2"},
+			wantErr: "core 2 outside [0,2)",
 		},
 		{
 			name:    "affinity unknown class",
-			flags:   oscoresFlags{K: 2, Affinity: "disk=0"},
-			wantErr: "-affinity:",
+			args:    []string{"-os-cores", "2", "-affinity", "disk=0"},
+			wantErr: `unknown syscall class "disk"`,
 		},
 		{
 			name:    "affinity duplicate class",
-			flags:   oscoresFlags{K: 2, Affinity: "file=0,file=1"},
-			wantErr: "-affinity:",
+			args:    []string{"-os-cores", "2", "-affinity", "file=0,file=1"},
+			wantErr: `duplicate affinity class "file"`,
 		},
 		{
 			name:    "affinity missing equals",
-			flags:   oscoresFlags{K: 2, Affinity: "file"},
-			wantErr: "-affinity:",
+			args:    []string{"-os-cores", "2", "-affinity", "file"},
+			wantErr: "is not class=core",
 		},
 		{
 			name:    "asymmetry wrong arity",
-			flags:   oscoresFlags{K: 4, Asymmetry: "1,0.5"},
-			wantErr: "-asymmetry:",
+			args:    []string{"-os-cores", "4", "-asymmetry", "1,0.5"},
+			wantErr: "lists 2 factors for 4 OS cores",
 		},
 		{
 			name:    "asymmetry factor out of range",
-			flags:   oscoresFlags{K: 2, Asymmetry: "1,100"},
-			wantErr: "-asymmetry:",
+			args:    []string{"-os-cores", "2", "-asymmetry", "1,100"},
+			wantErr: "asymmetry factor 100 outside",
 		},
 		{
 			name:    "asymmetry not a number",
-			flags:   oscoresFlags{K: 2, Asymmetry: "1,fast"},
-			wantErr: "-asymmetry:",
+			args:    []string{"-os-cores", "2", "-asymmetry", "1,fast"},
+			wantErr: `asymmetry factor "fast" is not a number`,
 		},
 		{
 			name:    "negative async slots",
-			flags:   oscoresFlags{K: 2, Async: true, AsyncSlots: -1},
-			wantErr: "-async-slots must be >= 0",
+			args:    []string{"-os-cores", "2", "-async", "-async-slots", "-1"},
+			wantErr: "negative OSCores.AsyncSlots -1",
 		},
 		{
 			name:    "async slots without async",
-			flags:   oscoresFlags{K: 2, AsyncSlots: 2},
-			wantErr: "-async-slots requires -async",
+			args:    []string{"-os-cores", "2", "-async-slots", "2"},
+			wantErr: "OSCores.AsyncSlots set without Async",
 		},
 		{
 			name:    "negative depth-n",
-			flags:   oscoresFlags{K: 2, DepthN: -1},
-			wantErr: "-depth-n must be >= 0",
+			args:    []string{"-os-cores", "2", "-depth-n", "-1"},
+			wantErr: "negative OSCores.DepthN -1",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.flags.block()
+			r, err := parseArgs(tc.args)
 			if tc.wantErr != "" {
 				if err == nil {
-					t.Fatalf("block() = %+v, want error containing %q", got, tc.wantErr)
+					t.Fatalf("parseArgs(%q) = %+v, want error containing %q", tc.args, r.cfg.OSCores, tc.wantErr)
 				}
 				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("block() error = %q, want it to contain %q", err, tc.wantErr)
+					t.Fatalf("parseArgs(%q) error = %q, want it to contain %q", tc.args, err, tc.wantErr)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("block() unexpected error: %v", err)
+				t.Fatalf("parseArgs(%q) unexpected error: %v", tc.args, err)
 			}
-			if got != tc.want {
-				t.Fatalf("block() = %+v, want %+v", got, tc.want)
+			if r.cfg.OSCores != tc.want {
+				t.Fatalf("parseArgs(%q) OSCores = %+v, want %+v", tc.args, r.cfg.OSCores, tc.want)
 			}
 		})
 	}
 }
 
-// TestOSCoresFlagBlockPassesConfigValidate: every block the flag layer
-// accepts must also be accepted by the engine's own Config.Validate —
-// the up-front check is a better error message, never a different rule.
+// TestOSCoresFlagBlockPassesConfigValidate: every OS-core flag vector
+// the command line accepts builds a config the engine accepts too —
+// Config.Validate and New — so the up-front check is never a different
+// rule from the engine's.
 func TestOSCoresFlagBlockPassesConfigValidate(t *testing.T) {
-	accepted := []oscoresFlags{
-		{K: 1},
-		{K: 2},
-		{K: 4, Affinity: "*=1", Asymmetry: "2"},
-		{K: 2, Async: true, AsyncSlots: 8, DepthN: 100, Rebalance: true},
+	accepted := [][]string{
+		{"-os-cores", "1"},
+		{"-os-cores", "2"},
+		{"-os-cores", "4", "-affinity", "*=1", "-asymmetry", "2"},
+		{"-os-cores", "2", "-async", "-async-slots", "8", "-depth-n", "100", "-rebalance"},
 	}
-	prof, _ := offloadsim.WorkloadByName("apache")
-	for _, f := range accepted {
-		blk, err := f.block()
+	for _, args := range accepted {
+		r, err := parseArgs(args)
 		if err != nil {
-			t.Fatalf("block(%+v): %v", f, err)
+			t.Fatalf("parseArgs(%q): %v", args, err)
 		}
-		cfg := offloadsim.DefaultConfig(prof)
-		cfg.OSCores = blk
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Config.Validate rejected flag-accepted block %+v: %v", f, err)
+		if err := r.cfg.Validate(); err != nil {
+			t.Errorf("Config.Validate rejected flag-accepted %q: %v", args, err)
+		}
+		if _, err := offloadsim.New(r.cfg); err != nil {
+			t.Errorf("New rejected flag-accepted %q: %v", args, err)
 		}
 	}
 }

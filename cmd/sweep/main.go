@@ -8,11 +8,15 @@
 //
 // Every row is one deterministic simulation; rows also carry normalized
 // throughput against the matching single-core baseline, which the tool
-// runs automatically per workload.
+// runs automatically per workload. The grid is a cluster.SweepRequest,
+// expanded, defaulted and mapped to per-point specs exactly as offsimd's
+// POST /v1/sweeps does, so a grid run here and on the fleet yields the
+// same rows.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,83 +39,245 @@ type Row struct {
 	EDP    float64 `json:"edp,omitempty"`
 }
 
-func main() {
-	var (
-		workloadsFlag = flag.String("workloads", "apache", "comma-separated workloads")
-		policiesFlag  = flag.String("policies", "HI", "comma-separated policies: baseline,SI,DI,HI,oracle")
-		nFlag         = flag.String("n", "100", "comma-separated thresholds")
-		latFlag       = flag.String("latencies", "100", "comma-separated one-way migration latencies")
-		format        = flag.String("format", "csv", "output format: csv or json")
-		warmup        = flag.Uint64("warmup", 1_000_000, "warmup instructions")
-		measure       = flag.Uint64("measure", 1_000_000, "measured instructions")
-		seed          = flag.Uint64("seed", 1, "random seed")
-		energy        = flag.Bool("energy", false, "include energy/EDP columns (default power model)")
-		sampled       = flag.Bool("sampled", false, "run every point in interval-sampling mode (default schedule; see docs/SAMPLING.md)")
-		replicas      = flag.Int("replicas", 1, "independent sampled replicas merged per point (requires -sampled)")
-		parEngine     = flag.Bool("parallel", false, "run every point on the quantum-parallel detailed engine (docs/PARALLEL.md)")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "host goroutines running sweep points concurrently (results are order- and count-independent)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
-		memProfile    = flag.String("memprofile", "", "write an end-of-sweep heap profile to this file (pprof format)")
-		telemetryDir  = flag.String("telemetry-dir", "", "write a per-point interval time-series CSV into this directory (docs/TELEMETRY.md; incompatible with -sampled)")
-		telemetryIval = flag.Uint64("telemetry-interval", 50_000, "time-series sampling cadence in retired instructions (with -telemetry-dir)")
-		osCoresFlag   = flag.String("os-cores", "1", "comma-separated OS-core cluster sizes as a sweep axis (docs/OSCORES.md)")
-		affinityFlag  = flag.String("affinity", "", "syscall-class affinity map applied to every sweep point, e.g. 'file=0,*=1'")
-		asymFlag      = flag.String("asymmetry", "", "per-OS-core speed factors applied to every sweep point, e.g. '1,0.5'")
-		asyncFlag     = flag.Bool("async", false, "fire-and-forget off-load for side-effect-only syscall classes")
-		depthNFlag    = flag.Int("depth-n", 0, "queue-depth threshold penalty per backlogged request")
-		rebalFlag     = flag.Bool("rebalance", false, "route to a strictly less-backlogged OS core over the designated one")
-	)
-	flag.Parse()
+// plan is a parsed sweep command line: each workload's baseline config
+// and every grid point's config, all built before the first simulation
+// runs, plus the output options.
+type plan struct {
+	workloads []string
+	baselines []offloadsim.Config // one per workload, in order
+	points    []point
+	// withOSCores adds the os_cores column: set when the -os-cores axis
+	// departs from the classic model, so legacy output stays unchanged.
+	withOSCores   bool
+	format        string
+	energy        bool
+	workers       int
+	cpuProfile    string
+	memProfile    string
+	telemetryDir  string
+	telemetryIval uint64
+}
 
-	wls := splitList(*workloadsFlag)
-	pols := splitList(*policiesFlag)
-	ns, err := splitInts(*nFlag)
-	if err != nil {
-		fail("bad -n: " + err.Error())
+// point is one grid cell: the fleet's grid point, the OS-core count it
+// runs with, and its config.
+type point struct {
+	cluster.Point
+	osCores int
+	cfg     offloadsim.Config
+}
+
+// parseArgs turns the command line into a plan. The grid flags build a
+// cluster.SweepRequest, so the fleet's validation, defaults, expansion,
+// baseline point and point-to-Spec mapping apply; the -os-cores axis
+// and its companion flags then vary each point's Spec.
+func parseArgs(args []string) (*plan, error) {
+	var (
+		pl  plan
+		req cluster.SweepRequest
+		osc offloadsim.Spec // the cluster flags, applied at every K
+		fs  = flag.NewFlagSet("sweep", flag.ContinueOnError)
+	)
+	workloads := fs.String("workloads", "apache", "comma-separated workloads")
+	policies := fs.String("policies", "HI", "comma-separated policies: baseline,SI,DI,HI,oracle")
+	thresholds := fs.String("n", "100", "comma-separated thresholds")
+	latencies := fs.String("latencies", "100", "comma-separated one-way migration latencies")
+	fs.StringVar(&pl.format, "format", "csv", "output format: csv or json")
+	req.WarmupInstrs = fs.Uint64("warmup", 1_000_000, "warmup instructions")
+	req.MeasureInstrs = fs.Uint64("measure", 1_000_000, "measured instructions")
+	req.Seed = fs.Uint64("seed", 1, "random seed")
+	fs.BoolVar(&pl.energy, "energy", false, "include energy/EDP columns (default power model)")
+	sampled := fs.Bool("sampled", false, "run every point in interval-sampling mode (default schedule; see docs/SAMPLING.md)")
+	fs.IntVar(&req.Replicas, "replicas", 1, "independent sampled replicas merged per point (requires -sampled)")
+	parEngine := fs.Bool("parallel", false, "run every point on the quantum-parallel detailed engine (docs/PARALLEL.md)")
+	fs.IntVar(&pl.workers, "workers", runtime.GOMAXPROCS(0), "host goroutines running sweep points concurrently (results are order- and count-independent)")
+	fs.StringVar(&pl.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
+	fs.StringVar(&pl.memProfile, "memprofile", "", "write an end-of-sweep heap profile to this file (pprof format)")
+	fs.StringVar(&pl.telemetryDir, "telemetry-dir", "", "write a per-point interval time-series CSV into this directory (docs/TELEMETRY.md; incompatible with -sampled)")
+	fs.Uint64Var(&pl.telemetryIval, "telemetry-interval", 50_000, "time-series sampling cadence in retired instructions (with -telemetry-dir)")
+	osCores := fs.String("os-cores", "1", "comma-separated OS-core cluster sizes as a sweep axis (docs/OSCORES.md)")
+	fs.StringVar(&osc.Affinity, "affinity", "", "syscall-class affinity map applied to every sweep point, e.g. 'file=0,*=1'")
+	fs.StringVar(&osc.Asymmetry, "asymmetry", "", "per-OS-core speed factors applied to every sweep point, e.g. '1,0.5'")
+	fs.BoolVar(&osc.Async, "async", false, "fire-and-forget off-load for side-effect-only syscall classes")
+	fs.IntVar(&osc.DepthN, "depth-n", 0, "queue-depth threshold penalty per backlogged request")
+	fs.BoolVar(&osc.Rebalance, "rebalance", false, "route to a strictly less-backlogged OS core over the designated one")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	lats, err := splitInts(*latFlag)
-	if err != nil {
-		fail("bad -latencies: " + err.Error())
+
+	if pl.format != "csv" && pl.format != "json" {
+		return nil, fmt.Errorf("format must be csv or json")
 	}
-	for _, n := range ns {
-		if n < 0 {
-			fail(fmt.Sprintf("-n values must be >= 0 (got %d)", n))
+	if pl.workers < 1 {
+		return nil, fmt.Errorf("-workers must be >= 1")
+	}
+	if pl.telemetryDir != "" && *sampled {
+		return nil, fmt.Errorf("-telemetry-dir requires cycle-accurate execution (incompatible with -sampled)")
+	}
+	if pl.telemetryDir != "" && pl.telemetryIval == 0 {
+		return nil, fmt.Errorf("-telemetry-interval must be positive with -telemetry-dir")
+	}
+	var err error
+	if req.Thresholds, err = splitInts(*thresholds); err != nil {
+		return nil, fmt.Errorf("bad -n: %v", err)
+	}
+	if req.Latencies, err = splitInts(*latencies); err != nil {
+		return nil, fmt.Errorf("bad -latencies: %v", err)
+	}
+	ks, err := oscoreAxis(*osCores)
+	if err != nil {
+		return nil, err
+	}
+	req.Workloads, req.Policies = splitList(*workloads), splitList(*policies)
+	switch {
+	case *sampled:
+		req.Mode = "sampled"
+	case *parEngine:
+		req.Mode = "parallel"
+	}
+	req, grid, err := req.Expand()
+	if err != nil {
+		// The fleet's errors carry the "sweep: " prefix main adds.
+		return nil, errors.New(strings.TrimPrefix(err.Error(), "sweep: "))
+	}
+
+	config := func(spec offloadsim.Spec) (offloadsim.Config, error) {
+		if req.Mode == "parallel" {
+			// Host parallelism lives in the row fan-out; each point stays
+			// single-goroutine so -workers alone bounds the load.
+			spec.Workers = 1
+		}
+		cfg, err := spec.Config()
+		if err != nil || !(*sampled && *parEngine) {
+			return cfg, err
+		}
+		// -sampled -parallel runs each sampled point's detailed
+		// intervals on the parallel engine. The wire's mode names one
+		// engine, so this is the one pairing a Spec cannot express.
+		cfg.Parallel = offloadsim.DefaultParallel()
+		cfg.Parallel.Workers = 1
+		return cfg, cfg.Validate()
+	}
+	pl.workloads = req.Workloads
+	for _, wl := range req.Workloads {
+		cfg, err := config(req.PointSpec(cluster.BaselinePoint(wl)))
+		if err != nil {
+			return nil, err
+		}
+		pl.baselines = append(pl.baselines, cfg)
+	}
+	pl.withOSCores = len(ks) != 1
+	for _, p := range grid {
+		for _, k := range ks {
+			spec := req.PointSpec(p)
+			spec.OSCores, spec.Affinity, spec.Asymmetry = k, osc.Affinity, osc.Asymmetry
+			spec.Async, spec.DepthN, spec.Rebalance = osc.Async, osc.DepthN, osc.Rebalance
+			cfg, err := config(spec)
+			if err != nil {
+				return nil, err
+			}
+			col := 1 // a disabled block is the classic single OS core
+			if cfg.OSCores.Enabled {
+				col = cfg.OSCores.K
+				pl.withOSCores = true
+			}
+			pl.points = append(pl.points, point{p, col, cfg})
 		}
 	}
-	for _, lat := range lats {
-		if lat < 0 {
-			fail(fmt.Sprintf("-latencies values must be >= 0 (got %d)", lat))
+	return &pl, nil
+}
+
+// oscoreAxis parses the -os-cores list. Each value's bounds are the
+// Spec's os_cores bounds, checked when the points are built.
+func oscoreAxis(list string) ([]int, error) {
+	ks, err := splitInts(list)
+	if err != nil {
+		return nil, fmt.Errorf("bad -os-cores: %v", err)
+	}
+	if len(ks) == 0 {
+		return nil, fmt.Errorf("-os-cores needs at least one value")
+	}
+	seen := make(map[int]bool, len(ks))
+	for _, k := range ks {
+		if seen[k] {
+			return nil, fmt.Errorf("duplicate -os-cores value %d", k)
 		}
+		seen[k] = true
 	}
-	if *measure == 0 {
-		fail("-measure must be positive")
+	return ks, nil
+}
+
+// rows runs the plan: the baselines, then the grid on a pool of
+// pl.workers goroutines. Every point is a pure function of its Config,
+// so concurrency affects wall time only; rows land in grid order,
+// byte-identical at any -workers.
+func rows(pl *plan) ([]Row, error) {
+	type outcome struct {
+		res offloadsim.Result
+		err error
 	}
-	if *replicas < 1 {
-		fail("-replicas must be >= 1")
+	baseOut := parallel.Map(pl.workers, len(pl.baselines), func(i int) outcome {
+		res, err := offloadsim.Run(pl.baselines[i])
+		return outcome{res, err}
+	})
+	baseline := make(map[string]float64, len(pl.workloads))
+	for i, out := range baseOut {
+		if out.err != nil {
+			return nil, out.err
+		}
+		baseline[pl.workloads[i]] = out.res.Throughput
 	}
-	if *replicas > 1 && !*sampled {
-		fail("-replicas requires -sampled")
+	outs := parallel.Map(pl.workers, len(pl.points), func(i int) outcome {
+		p := pl.points[i]
+		if pl.telemetryDir != "" {
+			// Telemetry is attachment-only, so the traced rows are
+			// byte-identical to an untraced sweep of the same grid; the
+			// per-point CSV rides along for free. Points write distinct
+			// files, so the fan-out needs no coordination.
+			res, capt, err := offloadsim.RunTraced(p.cfg,
+				offloadsim.TelemetryOptions{IntervalInstrs: pl.telemetryIval})
+			if err == nil {
+				err = writeSeries(pl.telemetryDir, p.Workload, res.Policy, p.Threshold, p.Latency, capt.Series)
+			}
+			return outcome{res, err}
+		}
+		res, err := offloadsim.Run(p.cfg)
+		return outcome{res, err}
+	})
+
+	model := offloadsim.DefaultEnergyModel()
+	out := make([]Row, 0, len(pl.points))
+	for i, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		p := pl.points[i]
+		row := Row{Row: cluster.BuildRow(p.Point, o.res, baseline[p.Workload])}
+		if pl.withOSCores {
+			// A block that collapses to the classic model (K=1) carries
+			// no OSCores provenance, so the point's K is the column.
+			row.OSCores = p.osCores
+		}
+		if pl.energy {
+			if rep, err := offloadsim.Energy(o.res, model); err == nil {
+				row.Joules = rep.Joules
+				row.EDP = rep.EDP
+			}
+		}
+		out = append(out, row)
 	}
-	if *workers < 1 {
-		fail("-workers must be >= 1")
+	return out, nil
+}
+
+func main() {
+	pl, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	oscoreKs, oscoreBlocks, err := oscoreAxis(*osCoresFlag, *affinityFlag, *asymFlag,
-		*asyncFlag, *depthNFlag, *rebalFlag)
 	if err != nil {
 		fail(err.Error())
 	}
-	withOSCores := oscoreMode(oscoreBlocks)
-	if withOSCores && *parEngine {
-		fail("-parallel is incompatible with the multi-OS-core cluster model (-os-cores/-affinity/-asymmetry/-async)")
-	}
-	if *telemetryDir != "" && *sampled {
-		fail("-telemetry-dir requires cycle-accurate execution (incompatible with -sampled)")
-	}
-	if *telemetryDir != "" && *telemetryIval == 0 {
-		fail("-telemetry-interval must be positive with -telemetry-dir")
-	}
-	if *telemetryDir != "" {
-		if err := os.MkdirAll(*telemetryDir, 0o755); err != nil {
+	if pl.telemetryDir != "" {
+		if err := os.MkdirAll(pl.telemetryDir, 0o755); err != nil {
 			fail("creating -telemetry-dir: " + err.Error())
 		}
 	}
@@ -121,8 +287,8 @@ func main() {
 	// through the workflow). CPU profiling covers the whole grid; the
 	// heap profile is taken after the last point so it shows steady-state
 	// retention, not construction transients.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if pl.cpuProfile != "" {
+		f, err := os.Create(pl.cpuProfile)
 		if err != nil {
 			fail("creating -cpuprofile: " + err.Error())
 		}
@@ -132,9 +298,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if pl.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(pl.memProfile)
 			if err != nil {
 				fail("creating -memprofile: " + err.Error())
 			}
@@ -145,130 +311,20 @@ func main() {
 			}
 		}()
 	}
-	// The grid flattens into an indexed point list executed on a worker
-	// pool. Every point is a pure function of its Config, so concurrency
-	// affects wall time only; results land in input order, keeping the
-	// emitted rows byte-identical at any -workers.
-	type outcome struct {
-		res offloadsim.Result
-		err error
-	}
-	baseFor := make(map[string]offloadsim.Config, len(wls))
-	for _, wl := range wls {
-		prof, ok := offloadsim.WorkloadByName(wl)
-		if !ok {
-			fail(fmt.Sprintf("unknown workload %q (have: %s)", wl,
-				strings.Join(offloadsim.WorkloadNames(), ", ")))
-		}
-		baseCfg := offloadsim.DefaultConfig(prof)
-		baseCfg.Policy = offloadsim.Baseline
-		baseCfg.WarmupInstrs = *warmup
-		baseCfg.MeasureInstrs = *measure
-		baseCfg.Seed = *seed
-		if *parEngine {
-			baseCfg.Parallel = offloadsim.DefaultParallel()
-			// Host parallelism lives in the row fan-out; each point stays
-			// single-goroutine so -workers alone bounds the load.
-			baseCfg.Parallel.Workers = 1
-		}
-		if *sampled {
-			baseCfg.Sampling = offloadsim.DefaultSampling()
-			baseCfg.Sampling.Replicas = *replicas
-		}
-		baseFor[wl] = baseCfg
-	}
-	baseOut := parallel.Map(*workers, len(wls), func(i int) outcome {
-		res, err := offloadsim.Run(baseFor[wls[i]])
-		return outcome{res, err}
-	})
-	baseRes := make(map[string]offloadsim.Result, len(wls))
-	for i, out := range baseOut {
-		if out.err != nil {
-			fail(out.err.Error())
-		}
-		baseRes[wls[i]] = out.res
-	}
 
-	type point struct {
-		wl     string
-		kind   offloadsim.PolicyKind
-		n, lat int
-		osi    int // index into oscoreKs/oscoreBlocks
+	out, err := rows(pl)
+	if err != nil {
+		fail(err.Error())
 	}
-	var points []point
-	for _, wl := range wls {
-		for _, pol := range pols {
-			kind, ok := offloadsim.ParsePolicy(pol)
-			if !ok {
-				fail(fmt.Sprintf("unknown policy %q", pol))
-			}
-			for _, n := range ns {
-				for _, lat := range lats {
-					for osi := range oscoreKs {
-						points = append(points, point{wl, kind, n, lat, osi})
-					}
-				}
-			}
-		}
-	}
-	outs := parallel.Map(*workers, len(points), func(i int) outcome {
-		p := points[i]
-		cfg := baseFor[p.wl]
-		cfg.Policy = p.kind
-		cfg.Threshold = p.n
-		cfg.Migration = offloadsim.CustomMigration(p.lat)
-		cfg.OSCores = oscoreBlocks[p.osi]
-		if *telemetryDir != "" {
-			// Telemetry is attachment-only, so the traced rows are
-			// byte-identical to an untraced sweep of the same grid; the
-			// per-point CSV rides along for free. Points write distinct
-			// files, so the fan-out needs no coordination.
-			res, capt, err := offloadsim.RunTraced(cfg,
-				offloadsim.TelemetryOptions{IntervalInstrs: *telemetryIval})
-			if err == nil {
-				err = writeSeries(*telemetryDir, p.wl, res.Policy, p.n, p.lat, capt.Series)
-			}
-			return outcome{res, err}
-		}
-		res, err := offloadsim.Run(cfg)
-		return outcome{res, err}
-	})
-
-	model := offloadsim.DefaultEnergyModel()
-	rows := make([]Row, 0, len(points))
-	for i, out := range outs {
-		if out.err != nil {
-			fail(out.err.Error())
-		}
-		p, res := points[i], out.res
-		row := Row{Row: cluster.BuildRow(cluster.Point{Workload: p.wl, Threshold: p.n, Latency: p.lat},
-			res, baseRes[p.wl].Throughput)}
-		if withOSCores {
-			// A block that collapses to the classic model (K=1) carries
-			// no OSCores provenance, so the axis value is the column.
-			row.OSCores = oscoreKs[p.osi]
-		}
-		if *energy {
-			if rep, err := offloadsim.Energy(res, model); err == nil {
-				row.Joules = rep.Joules
-				row.EDP = rep.EDP
-			}
-		}
-		rows = append(rows, row)
-	}
-
-	switch *format {
-	case "json":
+	if pl.format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
+		if err := enc.Encode(out); err != nil {
 			fail(err.Error())
 		}
-	case "csv":
-		writeCSV(rows, *energy, withOSCores)
-	default:
-		fail("format must be csv or json")
+		return
 	}
+	writeCSV(out, pl.energy, pl.withOSCores)
 }
 
 func writeCSV(rows []Row, energy, oscores bool) {

@@ -53,22 +53,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-type jobSpec struct {
-	Workload      string `json:"workload"`
-	Policy        string `json:"policy,omitempty"`
-	Threshold     *int   `json:"threshold,omitempty"`
-	LatencyCycles *int   `json:"latency_cycles,omitempty"`
-	Cores         int    `json:"cores,omitempty"`
-	OSCores       int    `json:"os_cores,omitempty"`
-	Affinity      string `json:"affinity,omitempty"`
-	Asymmetry     string `json:"asymmetry,omitempty"`
-	Async         bool   `json:"async,omitempty"`
-	WarmupInstrs  uint64 `json:"warmup_instrs"`
-	MeasureInstrs uint64 `json:"measure_instrs"`
-	Seed          uint64 `json:"seed"`
-}
+	"offloadsim"
+)
 
 type jobStatus struct {
 	ID      string `json:"id"`
@@ -204,18 +191,17 @@ func main() {
 			}
 		}
 	}
-	latency := 100
-	specFor := func(i int) jobSpec {
+	latency, warmup := 100, uint64(0)
+	specFor := func(i int) offloadsim.Spec {
 		g := grid[i%len(grid)]
-		thr := g.threshold
-		spec := jobSpec{
+		spec := offloadsim.Spec{
 			Workload:      g.workload,
 			Policy:        "HI",
-			Threshold:     &thr,
+			Threshold:     &g.threshold,
 			LatencyCycles: &latency,
-			WarmupInstrs:  0,
-			MeasureInstrs: *measure,
-			Seed:          g.seed,
+			WarmupInstrs:  &warmup,
+			MeasureInstrs: measure,
+			Seed:          &g.seed,
 		}
 		if *osCores > 0 || *affinity != "" || *asymmetry != "" || *async {
 			// Cluster scenario: every grid point off-loads into a K-core
@@ -447,7 +433,7 @@ func scrapeFleet(client *http.Client, addrs []string) fleetCounters {
 // runOne submits one spec (retrying on 429 backpressure) and waits for
 // the job to finish, polling the replica that owns it, and returns its
 // end-to-end latency.
-func runOne(client *http.Client, addr string, spec jobSpec, timeout time.Duration, rejected *atomic.Int64) (sample, error) {
+func runOne(client *http.Client, addr string, spec offloadsim.Spec, timeout time.Duration, rejected *atomic.Int64) (sample, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return sample{}, err

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzSweepRequest feeds arbitrary request bodies through the decoder
-// POST /v1/sweeps uses, then through withDefaults. Nothing may panic,
+// POST /v1/sweeps uses, then through Expand. Nothing may panic,
 // and an accepted grid must stay within maxSweepPoints and
 // sim.MaxReplicas, so expanding and running it is safe. The seed corpus
 // is committed under testdata/fuzz.
@@ -21,7 +21,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		r, err := req.withDefaults()
+		r, points, err := req.Expand()
 		if err != nil {
 			return
 		}
@@ -29,7 +29,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if n < 1 || n > maxSweepPoints {
 			t.Fatalf("accepted a grid of %d points (cap %d): %s", n, maxSweepPoints, body)
 		}
-		if got := len(r.points()); got != n {
+		if got := len(points); got != n {
 			t.Fatalf("expanded %d points, want %d", got, n)
 		}
 		if r.Replicas > sim.MaxReplicas {

@@ -109,7 +109,7 @@ func (p *PeerClient) Load(ctx context.Context, base string) (LoadReport, error) 
 	return l, nil
 }
 
-// Execute runs specJSON (a server.JobSpec document) on base via
+// Execute runs specJSON (a sim.Spec document) on base via
 // POST /v1/peer/execute and blocks until the result JSON comes back.
 // The receiving replica executes locally — no re-routing, no re-steal —
 // through its own queue and workers, so the work shows up in its

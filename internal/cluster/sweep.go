@@ -12,9 +12,9 @@ import (
 // SweepRequest is the wire form of POST /v1/sweeps: a Figure-4-style
 // parameter grid (workloads × policies × thresholds × latencies) that
 // the coordinator decomposes into canonical-keyed jobs and fans across
-// the fleet. Field semantics and defaults deliberately mirror
-// cmd/sweep, so the streamed rows are comparable byte-for-byte with the
-// offline tool's output for the same grid.
+// the fleet. cmd/sweep builds one from its grid flags and expands it in
+// process through Expand, BaselinePoint and PointSpec, so the streamed
+// rows equal the offline tool's output for the same grid byte for byte.
 type SweepRequest struct {
 	Workloads  []string `json:"workloads"`
 	Policies   []string `json:"policies,omitempty"`   // default ["HI"]
@@ -134,9 +134,16 @@ type Point struct {
 	Latency   int
 }
 
-// points enumerates the grid in cmd/sweep's nesting order:
-// workloads × policies × thresholds × latencies.
-func (r SweepRequest) points() []Point {
+// Expand validates r, fills its defaults and returns the defaulted
+// request with its grid in nesting order: workloads × policies ×
+// thresholds × latencies. The fleet's coordinator and cmd/sweep both
+// expand a grid through it, so one grid names the same points offline
+// and on the fleet.
+func (r SweepRequest) Expand() (SweepRequest, []Point, error) {
+	r, err := r.withDefaults()
+	if err != nil {
+		return r, nil, err
+	}
 	var out []Point
 	for _, wl := range r.Workloads {
 		for _, pol := range r.Policies {
@@ -153,7 +160,43 @@ func (r SweepRequest) points() []Point {
 			}
 		}
 	}
-	return out
+	return r, out, nil
+}
+
+// BaselinePoint is workload wl's normalization point: the
+// never-off-loading baseline that normalized throughput divides by.
+func BaselinePoint(wl string) Point {
+	return Point{
+		Index:    -1,
+		Workload: wl,
+		Policy:   "baseline",
+		// Threshold/Latency are irrelevant to a never-off-loading
+		// baseline but keep the grid defaults for a stable key.
+		Threshold: 1000,
+		Latency:   100,
+	}
+}
+
+// PointSpec shapes one point of the defaulted request r into the
+// ordinary job spec, so a sweep point is indistinguishable from a
+// directly submitted job: same canonical key, same cache, same metrics.
+func (r SweepRequest) PointSpec(p Point) sim.Spec {
+	n := p.Threshold
+	lat := p.Latency
+	spec := sim.Spec{
+		Workload:      p.Workload,
+		Policy:        p.Policy,
+		Threshold:     &n,
+		LatencyCycles: &lat,
+		WarmupInstrs:  r.WarmupInstrs,
+		MeasureInstrs: r.MeasureInstrs,
+		Seed:          r.Seed,
+		Mode:          r.Mode,
+	}
+	if r.Mode == "sampled" && r.Replicas > 0 {
+		spec.Replicas = r.Replicas
+	}
+	return spec
 }
 
 // Row is one sweep point's export row. cmd/sweep builds its rows with
@@ -263,14 +306,14 @@ type Sweep struct {
 // if the streaming client disconnects — its results land in the fleet
 // cache either way).
 func (c *Coordinator) Start(ctx context.Context, id string, req SweepRequest) (*Sweep, error) {
-	req, err := req.withDefaults()
+	req, points, err := req.Expand()
 	if err != nil {
 		return nil, err
 	}
 	s := &Sweep{
 		ID:       id,
 		Req:      req,
-		points:   req.points(),
+		points:   points,
 		finished: make(chan struct{}),
 	}
 	s.results = make([]*PointResult, len(s.points))
@@ -301,15 +344,7 @@ func (s *Sweep) run(ctx context.Context, runPoint RunPointFunc) {
 			go func(wl string) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				res, err := s.execPoint(ctx, runPoint, Point{
-					Index:    -1,
-					Workload: wl,
-					Policy:   "baseline",
-					// Threshold/Latency are irrelevant to a never-off-loading
-					// baseline but keep the grid defaults for a stable key.
-					Threshold: 1000,
-					Latency:   100,
-				})
+				res, err := s.execPoint(ctx, runPoint, BaselinePoint(wl))
 				mu.Lock()
 				if err != nil {
 					baselineErr[wl] = err

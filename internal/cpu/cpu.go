@@ -144,8 +144,8 @@ type cpiEWMA struct {
 
 func (e *cpiEWMA) update(cycles, instrs uint64) {
 	f := math.Exp(-float64(instrs) / cpiTau)
-	e.cyc = e.cyc*f + float64(cycles)
-	e.ins = e.ins*f + float64(instrs)
+	e.cyc = float64(e.cyc*f) + float64(cycles)
+	e.ins = float64(e.ins*f) + float64(instrs)
 }
 
 func (e *cpiEWMA) cpi() (float64, bool) {
@@ -307,7 +307,7 @@ func (c *Core) warmSegment(seg *trace.Segment) uint64 {
 		cycles = uint64(seg.Instrs) + stall
 		e.update(cycles, uint64(seg.Instrs))
 	} else if cpi, ok := e.cpi(); ok {
-		cycles = uint64(float64(seg.Instrs)*cpi + 0.5)
+		cycles = uint64(float64(float64(seg.Instrs)*cpi) + 0.5)
 		if cycles < uint64(seg.Instrs) {
 			cycles = uint64(seg.Instrs)
 		}

@@ -111,12 +111,12 @@ func (m Model) Evaluate(a Activity) (Report, error) {
 	seconds := float64(a.ElapsedCycles) / hz
 
 	// User cores: idle cycles at idle power, everything else active.
-	totalUserCycles := float64(a.UserCores) * float64(a.ElapsedCycles)
+	totalUserCycles := float64(float64(a.UserCores) * float64(a.ElapsedCycles))
 	idle := float64(a.UserIdleCycles)
 	if idle > totalUserCycles {
 		idle = totalUserCycles
 	}
-	joules := (totalUserCycles-idle)/hz*m.UserActiveW + idle/hz*m.UserIdleW
+	joules := float64((totalUserCycles-idle)/hz*m.UserActiveW) + float64(idle/hz*m.UserIdleW)
 
 	// OS core: busy at active power, remainder idle.
 	if a.HasOSCore {
@@ -124,11 +124,11 @@ func (m Model) Evaluate(a Activity) (Report, error) {
 		if busy > float64(a.ElapsedCycles) {
 			busy = float64(a.ElapsedCycles)
 		}
-		joules += busy/hz*m.OSActiveW + (float64(a.ElapsedCycles)-busy)/hz*m.OSIdleW
+		joules += float64(busy/hz*m.OSActiveW) + float64((float64(a.ElapsedCycles)-busy)/hz*m.OSIdleW)
 	}
 
 	// Migrations: two one-way transfers each.
-	joules += float64(a.Migrations) * 2 * m.MigrationNJ * 1e-9
+	joules += float64(float64(a.Migrations) * 2 * m.MigrationNJ * 1e-9)
 
 	return Report{
 		Seconds:  seconds,

@@ -69,7 +69,7 @@ func Confidence(o Options, nSeeds int) ConfidenceResult {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range norms {
 			sum += v
-			sumSq += v * v
+			sumSq += float64(v * v)
 			if v < lo {
 				lo = v
 			}
@@ -80,7 +80,7 @@ func Confidence(o Options, nSeeds int) ConfidenceResult {
 		n := float64(len(norms))
 		mean := sum / n
 		res.Mean = append(res.Mean, mean)
-		res.StdDev = append(res.StdDev, math.Sqrt(math.Max(0, sumSq/n-mean*mean)))
+		res.StdDev = append(res.StdDev, math.Sqrt(math.Max(0, sumSq/n-float64(mean*mean))))
 		res.Min = append(res.Min, lo)
 		res.Max = append(res.Max, hi)
 	}

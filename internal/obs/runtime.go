@@ -82,7 +82,7 @@ func histogramSum(h *metrics.Float64Histogram) float64 {
 		if math.IsInf(hi, 1) {
 			hi = lo
 		}
-		sum += float64(count) * (lo + hi) / 2
+		sum += float64(float64(count) * (lo + hi) / 2)
 	}
 	return sum
 }

@@ -56,7 +56,7 @@ func (c *Chart) bounds() (lo, hi float64) {
 	if hi == lo {
 		hi = lo + 1
 	}
-	pad := (hi - lo) * 0.05
+	pad := float64((hi - lo) * 0.05)
 	return lo - pad, hi + pad
 }
 

@@ -183,7 +183,7 @@ func NewStatic(migrationLatency int, ov Overheads) Policy {
 		if syscalls.IsTrap(spec.ID) {
 			continue
 		}
-		mean := float64(spec.BaseLength) + float64(spec.ArgScale)*float64(spec.ArgClasses-1)/2
+		mean := float64(spec.BaseLength) + float64(float64(spec.ArgScale)*float64(spec.ArgClasses-1)/2)
 		if mean >= SIProfileFactor*float64(migrationLatency) {
 			s.instrumented[spec.ID] = true
 		}

@@ -14,6 +14,7 @@ import (
 
 	"offloadsim/internal/cluster"
 	"offloadsim/internal/obs"
+	"offloadsim/internal/sim"
 )
 
 // internalHeader marks replica-to-replica HTTP traffic. A request
@@ -250,7 +251,7 @@ func (s *Server) handlePeerLoad(w http.ResponseWriter, _ *http.Request) {
 // load and counts into the canonical queue metrics — but is marked
 // internal, so it is never forwarded or re-stolen (no routing loops).
 func (s *Server) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+	var spec sim.Spec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {

@@ -17,7 +17,7 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /v1/jobs         submit a JobSpec; 202 queued, 200 cache hit,
+//	POST /v1/jobs         submit a sim.Spec; 202 queued, 200 cache hit,
 //	                      400 invalid, 429 queue full, 503 draining
 //	GET  /v1/jobs/{id}    job status
 //	GET  /v1/results/{id} result JSON of a finished job
@@ -82,7 +82,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "reading job spec: " + err.Error()})
 		return
 	}
-	var spec JobSpec
+	var spec sim.Spec
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {

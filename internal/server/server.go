@@ -183,7 +183,7 @@ func (s *Server) Start() {
 // overloaded owner may instead be offered to the least-loaded peer
 // (work-stealing). ErrQueueFull and ErrDraining report backpressure and
 // shutdown; other errors are invalid specs.
-func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
+func (s *Server) Submit(spec sim.Spec) (JobStatus, error) {
 	return s.submit(spec, submitOpts{})
 }
 
@@ -198,7 +198,7 @@ type submitOpts struct {
 	sc obs.SpanContext
 }
 
-func (s *Server) submit(spec JobSpec, opt submitOpts) (JobStatus, error) {
+func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
 	cfg, err := spec.Config()
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("invalid job spec: %w", err)

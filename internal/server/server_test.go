@@ -490,6 +490,28 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	if code, _, _ := postJob(t, ts, []byte(`{"workload":"apache","sede":3}`)); code != http.StatusBadRequest {
 		t.Errorf("unknown field: HTTP %d, want 400", code)
 	}
+	// The spec's CLI-only OS-core knobs have no wire name, under any
+	// spelling.
+	for _, body := range []string{
+		`{"workload":"apache","os_cores":2,"async":true,"async_slots":4}`,
+		`{"workload":"apache","os_cores":2,"depth_n":100}`,
+		`{"workload":"apache","os_cores":2,"rebalance":true}`,
+		`{"workload":"apache","os_cores":2,"AsyncSlots":4}`,
+		`{"workload":"apache","os_cores":2,"DepthN":100}`,
+		`{"workload":"apache","os_cores":2,"Rebalance":true}`,
+	} {
+		if code, _, _ := postJob(t, ts, []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("CLI-only field %s: HTTP %d, want 400", body, code)
+		}
+		resp, err := http.Post(ts.URL+"/v1/peer/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("CLI-only field %s via peer execute: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
 	if got := srv.Metrics().JobsSubmitted.Load(); got != 0 {
 		t.Errorf("invalid specs counted as submitted: %d", got)
 	}

@@ -19,35 +19,13 @@ type sweepHeader struct {
 	Points  int    `json:"points"`
 }
 
-// sweepPointSpec shapes one grid point into the ordinary job spec
-// vocabulary, so a sweep point is indistinguishable from a directly
-// submitted job: same canonical key, same cache, same metrics.
-func sweepPointSpec(req cluster.SweepRequest, p cluster.Point) JobSpec {
-	n := p.Threshold
-	lat := p.Latency
-	spec := JobSpec{
-		Workload:      p.Workload,
-		Policy:        p.Policy,
-		Threshold:     &n,
-		LatencyCycles: &lat,
-		WarmupInstrs:  req.WarmupInstrs,
-		MeasureInstrs: req.MeasureInstrs,
-		Seed:          req.Seed,
-		Mode:          req.Mode,
-	}
-	if req.Mode == "sampled" && req.Replicas > 0 {
-		spec.Replicas = req.Replicas
-	}
-	return spec
-}
-
 // runSweepPoint executes one grid point fleet-wide: it computes the
 // point's canonical key, routes to the ring owner (synchronous peer
 // execute), and falls back to local execution when the fleet cannot
 // help. Either way the result document is the same bytes — routing is
 // a performance decision, never a correctness one.
 func (s *Server) runSweepPoint(ctx context.Context, req cluster.SweepRequest, p cluster.Point) ([]byte, error) {
-	spec := sweepPointSpec(req, p)
+	spec := req.PointSpec(p)
 	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
@@ -88,7 +66,7 @@ func (s *Server) runSweepPoint(ctx context.Context, req cluster.SweepRequest, p 
 
 // routeSweepPoint sends one decomposed point to its ring owner, falling
 // back to local execution when the fleet cannot help.
-func (s *Server) routeSweepPoint(ctx context.Context, spec JobSpec, key string, sc obs.SpanContext) ([]byte, error) {
+func (s *Server) routeSweepPoint(ctx context.Context, spec sim.Spec, key string, sc obs.SpanContext) ([]byte, error) {
 	if c := s.cluster; c != nil {
 		if owner := c.owner(key); owner != c.self {
 			specJSON, err := json.Marshal(spec)
@@ -122,7 +100,7 @@ func (s *Server) routeSweepPoint(ctx context.Context, spec JobSpec, key string, 
 // runPointLocal submits spec to this replica's own queue (honoring
 // backpressure by waiting, not failing: a sweep is a batch client) and
 // returns the finished result document.
-func (s *Server) runPointLocal(ctx context.Context, spec JobSpec, sc obs.SpanContext) ([]byte, error) {
+func (s *Server) runPointLocal(ctx context.Context, spec sim.Spec, sc obs.SpanContext) ([]byte, error) {
 	var st JobStatus
 	for {
 		var err error

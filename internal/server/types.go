@@ -9,237 +9,17 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
-	"offloadsim/internal/coherence"
-	"offloadsim/internal/core"
-	"offloadsim/internal/cpu"
-	"offloadsim/internal/migration"
 	"offloadsim/internal/obs"
-	"offloadsim/internal/policy"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/telemetry"
-	"offloadsim/internal/workloads"
 )
 
-// JobSpec is the wire form of one simulation request. Zero/omitted
-// fields take the documented defaults; pointer fields distinguish
-// "absent" from an explicit zero. The spec deliberately mirrors the
-// cmd/offsim flag surface.
-type JobSpec struct {
-	// Workload is a profile name (required): apache, specjbb, derby, ...
-	Workload string `json:"workload"`
-	// Policy is a decision-policy name or alias (default "HI").
-	Policy string `json:"policy,omitempty"`
-	// Threshold is the off-load threshold N in instructions (default
-	// 1000; pointer so an explicit 0 survives).
-	Threshold *int `json:"threshold,omitempty"`
-	// LatencyCycles is the one-way migration latency (default 100).
-	LatencyCycles *int `json:"latency_cycles,omitempty"`
-	// Cores is the number of user cores (default 1).
-	Cores int `json:"cores,omitempty"`
-	// OSSlots is the OS core's hardware context count (default 1, at
-	// most sim.MaxOSCores).
-	OSSlots int `json:"os_slots,omitempty"`
-	// OSCores sizes the multi-OS-core off-load cluster (default 1 =
-	// classic single OS core; docs/OSCORES.md).
-	OSCores int `json:"os_cores,omitempty"`
-	// Affinity maps syscall classes to cluster cores, e.g.
-	// "file=0,network=1,*=0" (requires os_cores > 1).
-	Affinity string `json:"affinity,omitempty"`
-	// Asymmetry sets per-OS-core speed factors, e.g. "1,0.5".
-	Asymmetry string `json:"asymmetry,omitempty"`
-	// Async enables fire-and-forget off-load for side-effect-only
-	// syscall classes.
-	Async bool `json:"async,omitempty"`
-	// DynamicN enables the epoch threshold tuner.
-	DynamicN bool `json:"dynamic_n,omitempty"`
-	// DMPredictor selects the 1500-entry direct-mapped predictor.
-	DMPredictor bool `json:"dm_predictor,omitempty"`
-	// InstrumentOnly charges decision overhead but never migrates.
-	InstrumentOnly bool `json:"instrument_only,omitempty"`
-	// MOESI switches the coherence protocol from MESI.
-	MOESI bool `json:"moesi,omitempty"`
-	// OSL1KB shrinks the OS core's L1s (0 = same as user cores; at
-	// most the user cores' 32 KB).
-	OSL1KB int `json:"os_l1_kb,omitempty"`
-	// WarmupInstrs / MeasureInstrs are per-core instruction budgets
-	// (defaults 300k / 1M).
-	WarmupInstrs  *uint64 `json:"warmup_instrs,omitempty"`
-	MeasureInstrs *uint64 `json:"measure_instrs,omitempty"`
-	// Seed drives all stochastic behaviour (default 1).
-	Seed *uint64 `json:"seed,omitempty"`
-	// Mode selects the execution engine: "detailed" (default) simulates
-	// every instruction; "sampled" runs interval sampling with
-	// functional warming at the default schedule (docs/SAMPLING.md);
-	// "parallel" runs detailed execution on the quantum-synchronized
-	// parallel engine (docs/PARALLEL.md). No two modes of the same spec
-	// share a cache key.
-	Mode string `json:"mode,omitempty"`
-	// Replicas merges that many independent sampled replicas (requires
-	// mode "sampled"; default 1).
-	Replicas int `json:"replicas,omitempty"`
-	// Workers sizes the parallel engine's host-goroutine pool (requires
-	// mode "parallel"; 0 lets the server clamp to its free worker
-	// slots). Workers never affects results — only wall time — and is
-	// not part of the cache key.
-	Workers int `json:"workers,omitempty"`
-	// Trace captures a telemetry event trace alongside the result
-	// (docs/TELEMETRY.md), retrievable from GET /v1/traces/{id}. Requires
-	// mode detailed or parallel. Tracing never changes the result — the
-	// job still populates the shared cache — but a trace job always runs
-	// its own simulation (no cache hit, no coalescing), because a cached
-	// result document carries no event timeline.
-	Trace bool `json:"trace,omitempty"`
-	// TraceIntervalInstrs additionally samples the interval time-series
-	// every that many retired instructions (requires trace).
-	TraceIntervalInstrs uint64 `json:"trace_interval_instrs,omitempty"`
-}
-
-// Config translates the spec into a validated simulation config. All
-// defaulting happens here, so two specs that differ only in spelled-out
-// defaults translate to identical configs (and thus one cache key).
-func (j JobSpec) Config() (sim.Config, error) {
-	prof, ok := workloads.ByName(j.Workload)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown workload %q (have: %v)", j.Workload, workloads.Names())
-	}
-	polName := j.Policy
-	if polName == "" {
-		polName = "HI"
-	}
-	kind, ok := policy.Parse(polName)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown policy %q (baseline, SI, DI, HI, oracle)", j.Policy)
-	}
-
-	cfg := sim.DefaultConfig(prof)
-	cfg.Policy = kind
-	if j.Threshold != nil {
-		if *j.Threshold < 0 {
-			return sim.Config{}, fmt.Errorf("negative threshold %d", *j.Threshold)
-		}
-		cfg.Threshold = *j.Threshold
-	}
-	lat := 100
-	if j.LatencyCycles != nil {
-		lat = *j.LatencyCycles
-	}
-	if lat < 0 {
-		return sim.Config{}, fmt.Errorf("negative latency_cycles %d", lat)
-	}
-	cfg.Migration = migration.Custom(lat)
-	if j.Cores < 0 {
-		return sim.Config{}, fmt.Errorf("negative cores %d", j.Cores)
-	}
-	if j.Cores > 0 {
-		cfg.UserCores = j.Cores
-	}
-	if j.OSSlots < 0 || j.OSSlots > sim.MaxOSCores {
-		return sim.Config{}, fmt.Errorf("os_slots %d outside [0, %d]", j.OSSlots, sim.MaxOSCores)
-	}
-	if j.OSSlots > 0 {
-		cfg.OSCoreSlots = j.OSSlots
-	}
-	if j.OSCores < 0 {
-		return sim.Config{}, fmt.Errorf("negative os_cores %d", j.OSCores)
-	}
-	if j.OSCores > 1 || j.Affinity != "" || j.Asymmetry != "" || j.Async {
-		k := j.OSCores
-		if k == 0 {
-			k = 1
-		}
-		cfg.OSCores = sim.OSCores{
-			Enabled: true, K: k,
-			Affinity: j.Affinity, Asymmetry: j.Asymmetry, Async: j.Async,
-		}
-	}
-	cfg.InstrumentOnly = j.InstrumentOnly
-	cfg.DirectMappedPredictor = j.DMPredictor
-	if j.MOESI {
-		cc := coherence.DefaultConfig()
-		cc.Protocol = coherence.MOESI
-		cfg.Coherence = cc
-	}
-	// The OS core's L1s can only shrink below the user cores'.
-	osCPU := cpu.DefaultConfig()
-	if maxKB := osCPU.L1D.SizeBytes >> 10; j.OSL1KB < 0 || j.OSL1KB > maxKB {
-		return sim.Config{}, fmt.Errorf("os_l1_kb %d outside [0, %d]", j.OSL1KB, maxKB)
-	}
-	if j.OSL1KB > 0 {
-		osCPU.L1I.SizeBytes = j.OSL1KB << 10
-		osCPU.L1D.SizeBytes = j.OSL1KB << 10
-		cfg.OSCPU = &osCPU
-	}
-	if j.WarmupInstrs != nil {
-		cfg.WarmupInstrs = *j.WarmupInstrs
-	}
-	if j.MeasureInstrs != nil {
-		if *j.MeasureInstrs == 0 {
-			return sim.Config{}, fmt.Errorf("measure_instrs must be positive")
-		}
-		cfg.MeasureInstrs = *j.MeasureInstrs
-	}
-	if j.Seed != nil {
-		cfg.Seed = *j.Seed
-	}
-	if j.DynamicN {
-		cfg.DynamicN = true
-		tc := core.DefaultTunerConfig()
-		// Scale the paper's 25M/100M epochs down to the request's
-		// measurement budget, as cmd/offsim does.
-		tc.SampleEpoch = cfg.MeasureInstrs / 40
-		if tc.SampleEpoch < 1000 {
-			tc.SampleEpoch = 1000
-		}
-		tc.BaseRun = tc.SampleEpoch * 4
-		tc.MaxRun = tc.BaseRun * 4
-		cfg.Tuner = tc
-	}
-	switch j.Mode {
-	case "", "detailed":
-		if j.Replicas > 1 {
-			return sim.Config{}, fmt.Errorf("replicas %d requires mode \"sampled\"", j.Replicas)
-		}
-		if j.Workers != 0 {
-			return sim.Config{}, fmt.Errorf("workers requires mode \"parallel\"")
-		}
-	case "sampled":
-		cfg.Sampling = sim.DefaultSampling()
-		if j.Replicas < 0 {
-			return sim.Config{}, fmt.Errorf("negative replicas %d", j.Replicas)
-		}
-		if j.Replicas > 0 {
-			cfg.Sampling.Replicas = j.Replicas
-		}
-		if j.Workers != 0 {
-			return sim.Config{}, fmt.Errorf("workers requires mode \"parallel\"")
-		}
-	case "parallel":
-		if j.Replicas > 1 {
-			return sim.Config{}, fmt.Errorf("replicas %d requires mode \"sampled\"", j.Replicas)
-		}
-		if j.Workers < 0 {
-			return sim.Config{}, fmt.Errorf("negative workers %d", j.Workers)
-		}
-		cfg.Parallel = sim.DefaultParallel()
-		cfg.Parallel.Workers = j.Workers
-	default:
-		return sim.Config{}, fmt.Errorf("unknown mode %q (detailed, sampled, parallel)", j.Mode)
-	}
-	if j.Trace && cfg.Sampling.Enabled {
-		return sim.Config{}, fmt.Errorf("trace requires mode \"detailed\" or \"parallel\" " +
-			"(sampled mode has no cycle-accurate timeline)")
-	}
-	if j.TraceIntervalInstrs > 0 && !j.Trace {
-		return sim.Config{}, fmt.Errorf("trace_interval_instrs requires trace")
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
-}
+// JobSpec is the wire form of one simulation request: sim.Spec, the
+// spec every front end shares. The alias keeps the name for callers
+// outside this package.
+type JobSpec = sim.Spec
 
 // State is a job's lifecycle position.
 type State string
@@ -290,7 +70,7 @@ type JobStatus struct {
 type job struct {
 	id   string
 	key  string
-	spec JobSpec
+	spec sim.Spec
 	cfg  sim.Config
 
 	state     State

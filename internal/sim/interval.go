@@ -367,7 +367,7 @@ func (s *Simulator) collectSampled(samples []IntervalSample, covs []intervalCov)
 	if agg.Instrs > 0 {
 		scale = float64(totInstrs) / float64(agg.Instrs)
 	}
-	scaleUp := func(v uint64) uint64 { return uint64(float64(v)*scale + 0.5) }
+	scaleUp := func(v uint64) uint64 { return uint64(float64(float64(v)*scale) + 0.5) }
 
 	r.Instrs = totInstrs
 	r.Cycles = maxElapsed
@@ -478,7 +478,7 @@ func throughputRelErr(samples []IntervalSample) float64 {
 	var ss float64
 	for _, s := range samples {
 		d := s.Throughput - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sd := math.Sqrt(ss / float64(len(samples)-1))
 	return 1.96 * sd / math.Sqrt(float64(len(samples))) / mean

@@ -165,7 +165,7 @@ func (s *Simulator) stepParallel(u *userCtx, pr *parRuntime, i int) {
 	if d.Offload && !s.cfg.InstrumentOnly && s.osc != nil {
 		oneWay := uint64(s.cfg.Migration.OneWay)
 		arrival := u.clock + oneWay
-		execEst := uint64(float64(seg.Instrs)*pr.osCPI + 0.5)
+		execEst := uint64(float64(float64(seg.Instrs)*pr.osCPI) + 0.5)
 		if execEst < uint64(seg.Instrs) {
 			execEst = uint64(seg.Instrs)
 		}

@@ -41,9 +41,9 @@ func olsTotal(xs [][]float64, ys []float64, xTot []float64) (total float64, ok b
 	for r, x := range xs {
 		for i := 0; i < k; i++ {
 			for j := i; j < k; j++ {
-				a[i][j] += x[i] * x[j]
+				a[i][j] += float64(x[i] * x[j])
 			}
-			b[i] += x[i] * ys[r]
+			b[i] += float64(x[i] * ys[r])
 		}
 	}
 	for i := 0; i < k; i++ {
@@ -87,14 +87,14 @@ func olsTotal(xs [][]float64, ys []float64, xTot []float64) (total float64, ok b
 				continue
 			}
 			for j := 0; j < k; j++ {
-				a[r][j] -= f * a[i][j]
+				a[r][j] -= float64(f * a[i][j])
 			}
-			beta[r] -= f * beta[i]
+			beta[r] -= float64(f * beta[i])
 		}
 	}
 
 	for i := 0; i < k; i++ {
-		total += beta[i] * xTot[i]
+		total += float64(beta[i] * xTot[i])
 	}
 	return total, true
 }

@@ -135,7 +135,7 @@ func mergeReplicas(reps []Result) Result {
 		var ss float64
 		for _, r := range reps {
 			d := r.Throughput - out.Throughput
-			ss += d * d
+			ss += float64(d * d)
 		}
 		prov.ThroughputRelErr = 0
 		if out.Throughput != 0 {

@@ -74,7 +74,7 @@ func (r *Running) Observe(x float64) {
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.m2 += float64(delta * (x - r.mean))
 }
 
 // N returns the number of samples observed.

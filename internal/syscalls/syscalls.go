@@ -180,11 +180,11 @@ func (s *Spec) SampleLength(argClass int, src *rng.Source) int {
 		// Early return: the handler bails out at 35-70% of nominal (an
 		// EOF read still walks the full VFS entry path before finding
 		// nothing to copy).
-		frac := 0.35 + 0.35*src.Float64()
+		frac := 0.35 + float64(0.35*src.Float64())
 		n = int(float64(n) * frac)
 	} else if s.JitterProb > 0 && src.Bool(s.JitterProb) {
 		// Small symmetric jitter within ±5%.
-		n = int(float64(n) * (0.95 + 0.1*src.Float64()))
+		n = int(float64(n) * (0.95 + float64(0.1*src.Float64())))
 	}
 	if n < 1 {
 		n = 1

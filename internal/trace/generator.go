@@ -366,7 +366,7 @@ func (g *Generator) syscallSegment() Segment {
 		extFrac = float64(instrs-nominal) / float64(instrs)
 		// Interrupt handler instructions fetch from IRQ code.
 		seg.codeAlt = g.kernel.IRQCode
-		seg.codeAltChance = rng.NewChance(commonCodePct + extFrac*(1-commonCodePct))
+		seg.codeAltChance = rng.NewChance(commonCodePct + float64(extFrac*(1-commonCodePct)))
 	}
 	kernelShare := 1 - spec.UserDataFrac
 	seg.setSources(

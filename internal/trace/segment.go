@@ -138,7 +138,7 @@ func (s *Segment) BatchRefs(ifInterval int, ifCarry int, dataCarry float64) (nIF
 	nIFetch = newIFCarry / ifInterval
 	newIFCarry -= nIFetch * ifInterval
 
-	newDataCarry = dataCarry + s.MemRatio*float64(s.Instrs)
+	newDataCarry = dataCarry + float64(s.MemRatio*float64(s.Instrs))
 	nData = int(newDataCarry)
 	newDataCarry -= float64(nData)
 	return nIFetch, newIFCarry, nData, newDataCarry

@@ -147,8 +147,8 @@ func (p *Profile) MeanSyscallLength() float64 {
 	var wsum, lsum float64
 	for _, m := range p.Mix {
 		spec := syscalls.Lookup(m.ID)
-		mean := float64(spec.BaseLength) + float64(spec.ArgScale)*float64(spec.ArgClasses-1)/2
-		lsum += m.Weight * mean
+		mean := float64(spec.BaseLength) + float64(float64(spec.ArgScale)*float64(spec.ArgClasses-1)/2)
+		lsum += float64(m.Weight * mean)
 		wsum += m.Weight
 	}
 	if wsum == 0 {
@@ -176,9 +176,9 @@ func (p *Profile) OSTimeFractionAbove(n int) float64 {
 		for c := 0; c < spec.ArgClasses; c++ {
 			l := float64(spec.Length(c))
 			w := m.Weight / float64(spec.ArgClasses)
-			total += w * l
+			total += float64(w * l)
 			if spec.Length(c) > n {
-				above += w * l
+				above += float64(w * l)
 			}
 		}
 	}

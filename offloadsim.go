@@ -10,7 +10,6 @@ import (
 	"offloadsim/internal/energy"
 	"offloadsim/internal/experiments"
 	"offloadsim/internal/migration"
-	"offloadsim/internal/oscore"
 	"offloadsim/internal/policy"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/telemetry"
@@ -97,6 +96,13 @@ type TunerConfig = core.TunerConfig
 // samples, 100 M runs, 1% improvement margin).
 func DefaultTunerConfig() TunerConfig { return core.DefaultTunerConfig() }
 
+// Spec is the declarative form of one simulation request, shared by
+// every front end: the offsimd job body, a sweep grid's per-point spec,
+// and the cmd/offsim and cmd/sweep flag sets. Spec.Config is the one
+// translation into a validated Config, with the defaults and admission
+// bounds documented on each field.
+type Spec = sim.Spec
+
 // DefaultConfig returns a single-user-core Table II configuration for the
 // given workload, using the hardware policy at N=1000 over the aggressive
 // migration engine.
@@ -163,27 +169,9 @@ type OSCores = sim.OSCores
 // service metrics, per-class routing statistics and async accounting.
 type OSCoresReport = sim.OSCoresProvenance
 
-// MaxOSCores bounds Config.OSCores.K.
-const MaxOSCores = sim.MaxOSCores
-
 // DefaultOSCores returns an enabled synchronous k-core block with
 // round-robin class affinity and symmetric speeds.
 func DefaultOSCores(k int) OSCores { return sim.DefaultOSCores(k) }
-
-// ValidateAffinity checks a syscall-class affinity map ("class=core"
-// pairs, "*" wildcard) against an OS-core count — the up-front check CLI
-// front ends run before building a Config.
-func ValidateAffinity(s string, k int) error {
-	_, err := oscore.ParseAffinity(s, k)
-	return err
-}
-
-// ValidateAsymmetry checks a per-OS-core speed-factor list against an
-// OS-core count.
-func ValidateAsymmetry(s string, k int) error {
-	_, err := oscore.ParseAsymmetry(s, k)
-	return err
-}
 
 // TelemetryOptions selects what a traced run records: the structured
 // event trace (Events) and/or the interval time-series (IntervalInstrs
