@@ -164,11 +164,11 @@ func writeTelemetry(capt *offloadsim.TraceCapture, traceFile, format, seriesFile
 		if err != nil {
 			return err
 		}
-		sink := offloadsim.NewChromeSink(f)
+		write := offloadsim.WriteTraceChrome
 		if format == "jsonl" {
-			sink = offloadsim.NewJSONLSink(f)
+			write = offloadsim.WriteTraceJSONL
 		}
-		if err := offloadsim.ExportTrace(capt, sink); err != nil {
+		if err := write(f, capt); err != nil {
 			f.Close()
 			return err
 		}

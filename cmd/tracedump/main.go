@@ -11,15 +11,14 @@
 // the same stream can be replayed through either predictor organization
 // at any threshold, and the decision accuracy compared offline.
 // -convert turns a JSONL export into a Perfetto-loadable Chrome trace
-// and accepts both JSONL dialects the project emits: simulation-event
+// and accepts both record kinds the project emits: simulation-event
 // traces (offsim -trace-format jsonl, offsimd /v1/traces) and service-
-// span traces (offsimd /v1/debug/traces/{id}?format=jsonl). The file's
-// records pick the converter; a file mixing the two is rejected with
-// the offending line.
+// span traces (offsimd /v1/debug/traces/{id}?format=jsonl). One reader
+// (obs.ReadJSONL) decodes either; a file mixing the two is rejected
+// with a line of each.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -190,91 +189,47 @@ func doSummary(path string) {
 }
 
 func doConvert(path, out string) {
-	data, err := os.ReadFile(path)
+	msg, err := convert(path, out)
 	if err != nil {
 		fail(err.Error())
 	}
-	kind, err := classifyJSONL(data)
+	fmt.Println(msg)
+}
+
+// convert renders the JSONL export at path as a Chrome trace at out and
+// returns the summary line. The input is decoded in full before out is
+// created, so a rejected input leaves out as it was.
+func convert(path, out string) (string, error) {
+	in, err := os.Open(path)
 	if err != nil {
-		fail(fmt.Sprintf("reading %s: %v", path, err))
+		return "", err
+	}
+	capt, spans, err := obs.ReadJSONL(in)
+	in.Close()
+	if err != nil {
+		return "", fmt.Errorf("reading %s: %v", path, err)
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		fail(err.Error())
+		return "", err
 	}
-	switch kind {
-	case jsonlSpans:
-		spans, err := obs.ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			f.Close()
-			fail(fmt.Sprintf("reading %s: %v", path, err))
-		}
-		if err := obs.WriteChrome(f, spans); err != nil {
-			f.Close()
-			fail(fmt.Sprintf("writing %s: %v", out, err))
-		}
-		if err := f.Close(); err != nil {
-			fail(err.Error())
-		}
-		fmt.Printf("converted %d service spans into %s — load it in Perfetto or chrome://tracing\n",
-			len(spans), out)
-	case jsonlEvents:
-		capt, err := offloadsim.ReadJSONLTrace(bytes.NewReader(data))
-		if err != nil {
-			f.Close()
-			fail(fmt.Sprintf("reading %s: %v", path, err))
-		}
-		if err := offloadsim.ExportTrace(capt, offloadsim.NewChromeSink(f)); err != nil {
-			f.Close()
-			fail(fmt.Sprintf("writing %s: %v", out, err))
-		}
-		if err := f.Close(); err != nil {
-			fail(err.Error())
-		}
-		fmt.Printf("converted %d events (%s, %d cores) into %s — load it in Perfetto or chrome://tracing\n",
+	var msg string
+	if capt != nil {
+		err = offloadsim.WriteTraceChrome(f, capt)
+		msg = fmt.Sprintf("converted %d events (%s, %d cores) into %s",
 			len(capt.Events), capt.Meta.Workload, capt.Meta.UserCores, out)
+	} else {
+		err = obs.WriteChrome(f, spans)
+		msg = fmt.Sprintf("converted %d service spans into %s", len(spans), out)
 	}
-}
-
-// jsonlKind labels the two JSONL dialects -convert accepts.
-type jsonlKind int
-
-const (
-	jsonlEvents jsonlKind = iota // simulation-event telemetry export
-	jsonlSpans                   // service-span export
-)
-
-// classifyJSONL decides which dialect a JSONL export holds by probing
-// every line for the span discriminator ("span_id"), and rejects files
-// that mix the two — the dialects look superficially similar, and a
-// silent best-effort parse would produce a half-empty Chrome trace.
-func classifyJSONL(data []byte) (jsonlKind, error) {
-	spanLine, eventLine := 0, 0 // first 1-based line of each dialect
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if obs.IsSpanRecord(line) {
-			if spanLine == 0 {
-				spanLine = i + 1
-			}
-		} else if eventLine == 0 {
-			eventLine = i + 1
-		}
+	if err != nil {
+		f.Close()
+		return "", fmt.Errorf("writing %s: %v", out, err)
 	}
-	switch {
-	case spanLine == 0 && eventLine == 0:
-		return jsonlEvents, fmt.Errorf("no JSONL records found")
-	case spanLine != 0 && eventLine != 0:
-		return jsonlEvents, fmt.Errorf(
-			"mixed export: line %d is a service span but line %d is a simulation event — "+
-				"the two JSONL dialects are different formats; export and convert them separately",
-			spanLine, eventLine)
-	case spanLine != 0:
-		return jsonlSpans, nil
-	default:
-		return jsonlEvents, nil
+	if err := f.Close(); err != nil {
+		return "", err
 	}
+	return msg + " — load it in Perfetto or chrome://tracing", nil
 }
 
 func doReplay(path string, n int, dm bool, entries int) {

@@ -231,22 +231,21 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace captured"})
 		return
 	}
-	var sink telemetry.Sink
+	write := telemetry.WriteChrome
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "chrome":
 		// Loadable directly in Perfetto / chrome://tracing.
 		w.Header().Set("Content-Type", "application/json")
-		sink = telemetry.NewChromeSink(w)
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = telemetry.NewJSONLSink(w)
+		write = telemetry.WriteJSONL
 	default:
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("unknown format %q (chrome, jsonl)", format)})
 		return
 	}
-	// Export streams straight to the response; encoding errors past the
-	// header can only be reported by aborting the body.
-	_ = telemetry.Export(cap, sink)
+	// The export streams straight to the response; encoding errors past
+	// the header can only be reported by aborting the body.
+	_ = write(w, cap)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's observability layer: a
 // deterministic structured event trace (per-core ring buffers merged in
 // (time, core, seq) order), interval time-series of the headline
-// metrics, and exporters for JSONL and the Chrome trace-event format
-// that Perfetto loads (docs/TELEMETRY.md).
+// metrics, a JSONL writer, and the one Chrome trace-event encoder
+// (Perfetto loads it) that internal/obs renders service spans with too.
+// obs.ReadJSONL reads either kind of JSONL back (docs/TELEMETRY.md).
 //
 // The layer is built around two contracts. First, instrumentation never
 // perturbs the simulation: tracing only reads engine state, so results
@@ -21,8 +22,9 @@ import (
 	"sort"
 )
 
-// DefaultRingEvents is the default per-core event-ring capacity. At 48
-// bytes an event, the default bounds a 16-core trace at ~50 MB.
+// DefaultRingEvents is the per-core event-ring capacity; when a ring
+// fills, the oldest events are overwritten (the trace keeps the tail).
+// At 48 bytes an event, it bounds a 16-core trace at ~50 MB.
 const DefaultRingEvents = 1 << 16
 
 // DefaultIntervalInstrs is the default time-series cadence in retired
@@ -31,12 +33,9 @@ const DefaultIntervalInstrs = 50_000
 
 // Options configures what a Tracer captures.
 type Options struct {
-	// Events enables the structured event trace.
+	// Events enables the structured event trace, DefaultRingEvents per
+	// core.
 	Events bool
-	// RingEvents bounds each core's event ring; when a ring fills, the
-	// oldest events are overwritten (the trace keeps the tail).
-	// 0 takes DefaultRingEvents.
-	RingEvents int
 	// IntervalInstrs enables interval time-series sampling at this
 	// cadence (retired instructions per user core); 0 disables the
 	// series.
@@ -45,20 +44,10 @@ type Options struct {
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.RingEvents < 0 {
-		return fmt.Errorf("telemetry: negative RingEvents %d", o.RingEvents)
-	}
 	if !o.Events && o.IntervalInstrs == 0 {
 		return fmt.Errorf("telemetry: nothing enabled (set Events or IntervalInstrs)")
 	}
 	return nil
-}
-
-func (o Options) withDefaults() Options {
-	if o.Events && o.RingEvents == 0 {
-		o.RingEvents = DefaultRingEvents
-	}
-	return o
 }
 
 // Meta identifies the run a capture came from.
@@ -136,13 +125,12 @@ func New(opts Options, cores int, meta Meta) (*Tracer, error) {
 	if cores < 1 {
 		return nil, fmt.Errorf("telemetry: cores %d < 1", cores)
 	}
-	opts = opts.withDefaults()
 	meta.TimeUnit = "cycle"
 	t := &Tracer{opts: opts, meta: meta}
 	if opts.Events {
 		t.rings = make([]ring, cores)
 		for i := range t.rings {
-			t.rings[i].buf = make([]Event, 0, opts.RingEvents)
+			t.rings[i].buf = make([]Event, 0, DefaultRingEvents)
 		}
 	}
 	return t, nil

@@ -1,6 +1,7 @@
 package offloadsim
 
 import (
+	"fmt"
 	"io"
 
 	"offloadsim/internal/cluster"
@@ -10,6 +11,7 @@ import (
 	"offloadsim/internal/energy"
 	"offloadsim/internal/experiments"
 	"offloadsim/internal/migration"
+	"offloadsim/internal/obs"
 	"offloadsim/internal/policy"
 	"offloadsim/internal/sim"
 	"offloadsim/internal/telemetry"
@@ -186,9 +188,6 @@ type TraceCapture = telemetry.Capture
 // TraceEvent is one structured simulation event.
 type TraceEvent = telemetry.Event
 
-// TraceSink consumes an exported capture (JSONL or Chrome trace-event).
-type TraceSink = telemetry.Sink
-
 // TraceIntervalPoint is one interval time-series sample.
 type TraceIntervalPoint = telemetry.IntervalPoint
 
@@ -200,19 +199,23 @@ func RunTraced(cfg Config, opts TelemetryOptions) (Result, *TraceCapture, error)
 	return sim.RunTraced(cfg, opts)
 }
 
-// NewJSONLSink writes a capture as newline-delimited JSON: a metadata
+// WriteTraceJSONL writes a capture as newline-delimited JSON: a metadata
 // header line, then one object per event in timeline order.
-func NewJSONLSink(w io.Writer) TraceSink { return telemetry.NewJSONLSink(w) }
+func WriteTraceJSONL(w io.Writer, c *TraceCapture) error { return telemetry.WriteJSONL(w, c) }
 
-// NewChromeSink writes a capture in the Chrome trace-event format,
+// WriteTraceChrome writes a capture in the Chrome trace-event format,
 // loadable directly in Perfetto or chrome://tracing.
-func NewChromeSink(w io.Writer) TraceSink { return telemetry.NewChromeSink(w) }
+func WriteTraceChrome(w io.Writer, c *TraceCapture) error { return telemetry.WriteChrome(w, c) }
 
-// ExportTrace streams a capture through a sink.
-func ExportTrace(c *TraceCapture, s TraceSink) error { return telemetry.Export(c, s) }
-
-// ReadJSONLTrace parses a JSONL export back into a capture.
-func ReadJSONLTrace(r io.Reader) (*TraceCapture, error) { return telemetry.ReadJSONL(r) }
+// ReadJSONLTrace parses a JSONL export back into a capture. A service
+// span export (offsimd's /v1/debug/traces) is an error.
+func ReadJSONLTrace(r io.Reader) (*TraceCapture, error) {
+	c, _, err := obs.ReadJSONL(r)
+	if err == nil && c == nil {
+		err = fmt.Errorf("offloadsim: a service-span JSONL export, not a simulation trace")
+	}
+	return c, err
+}
 
 // WriteSeriesCSV writes an interval time-series as CSV.
 func WriteSeriesCSV(w io.Writer, series []TraceIntervalPoint) error {
