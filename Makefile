@@ -157,12 +157,17 @@ golden:
 	@echo "testdata/golden regenerated — review 'git diff testdata/golden/' before committing"
 
 # Short fuzz runs of the config-canonicalization, policy-parsing and
-# affinity-parsing fuzzers, and of the two decoders offsimd runs on
-# untrusted request bodies (job specs, sweep grids); part of `make ci`.
-# The committed seed corpora live under each package's testdata/fuzz/.
+# affinity-parsing fuzzers, of the two decoders offsimd runs on
+# untrusted request bodies (job specs, sweep grids), and of the one
+# trace-file decoder (obs.ReadJSONL, behind tracedump -convert); part of
+# `make ci`. The committed seed corpora live under each package's
+# testdata/fuzz/. The trace seeds are export excerpts of up to 2 KB;
+# minimizing each new input derived from them for the default 60 s would
+# use up the run, so FuzzReadJSONL minimizes for at most 1 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAffinity$$' -fuzztime 10s ./internal/oscore/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
