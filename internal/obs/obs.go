@@ -6,10 +6,11 @@
 // (cycle-timestamped engine events), obs observes the *service* from
 // the outside: a job's life across admission, queueing, ring routing,
 // peer forwarding, work stealing, sweep fan-out and execution —
-// potentially spanning several replicas. The two layers share the
-// Chrome-trace export vocabulary (internal/telemetry/chrome.go) so both
-// kinds of trace open in Perfetto, but they never mix records: a sim
-// trace's clock is cycles, a service trace's clock is wall time.
+// potentially spanning several replicas. The two layers share one
+// export path (export.go): telemetry.ChromeWriter encodes both kinds of
+// Chrome document, so both open in Perfetto, and ReadJSONL decodes
+// either kind of JSONL. They never mix records: a sim trace's clock is
+// cycles, a service trace's clock is wall time.
 //
 // Identity is deterministic by construction. A trace ID is a pure
 // function of the job's canonical config key and its admission ordinal

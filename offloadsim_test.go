@@ -1,6 +1,7 @@
 package offloadsim_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -31,6 +32,38 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 	if res.Offloads == 0 {
 		t.Fatal("no off-loads at N=100 on apache")
+	}
+}
+
+// TestFacadeTraceExport writes a traced run in both formats through the
+// facade and reads the JSONL back; ReadJSONLTrace refuses a span file.
+func TestFacadeTraceExport(t *testing.T) {
+	prof, _ := offloadsim.WorkloadByName("apache")
+	cfg := offloadsim.DefaultConfig(prof)
+	cfg.Threshold = 100
+	cfg.WarmupInstrs = 20_000
+	cfg.MeasureInstrs = 60_000
+	_, capt, err := offloadsim.RunTraced(cfg, offloadsim.TelemetryOptions{Events: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonl, chrome bytes.Buffer
+	if err := offloadsim.WriteTraceJSONL(&jsonl, capt); err != nil {
+		t.Fatal(err)
+	}
+	if err := offloadsim.WriteTraceChrome(&chrome, capt); err != nil || !json.Valid(chrome.Bytes()) {
+		t.Fatalf("chrome export (err %v) is not valid JSON", err)
+	}
+	back, err := offloadsim.ReadJSONLTrace(&jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Meta != capt.Meta || len(back.Events) != len(capt.Events) || len(back.Events) == 0 {
+		t.Fatalf("read back %d of %d events, meta %+v", len(back.Events), len(capt.Events), back.Meta)
+	}
+	span := `{"trace_id":"ab","span_id":"cd","name":"request","start_unix_ns":1,"end_unix_ns":2,"status":"ok"}`
+	if _, err := offloadsim.ReadJSONLTrace(strings.NewReader(span)); err == nil {
+		t.Fatal("ReadJSONLTrace accepted a service-span file")
 	}
 }
 
