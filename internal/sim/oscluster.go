@@ -10,10 +10,11 @@ import (
 // This file is the engine side of the OS-core model (Config.OSCores,
 // internal/oscore, docs/OSCORES.md). Every off-load-capable simulator
 // builds an oscore.Cluster: K=1 without an OSCores block, which is the
-// paper's single dedicated OS core, and clusterOffload prices every
-// off-load the serial engine issues against it. The parallel engine
-// defers its off-loads to the quantum barrier and books them on queue 0
-// (resolveOffloads); Validate keeps it to one OS core.
+// paper's single dedicated OS core. Both engines book an off-load
+// through one helper, bookOffload: the serial engine at decide time
+// (clusterOffload, which also routes and prices it), the parallel
+// engine at the quantum barrier on queue 0 (resolveOffloads); Validate
+// keeps the parallel engine to one OS core.
 //
 // Pricing. A synchronous off-load costs the issuing core the round trip
 // oneWay + wait + exec + oneWay, with exec scaled by the serving core's
@@ -42,24 +43,9 @@ func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 	}
 
 	oneWay := uint64(s.cfg.Migration.OneWay)
-	dispatch := u.clock
-	arrival := dispatch + oneWay
-	cat := syscalls.CategoryOf(seg.Sys)
-	q, _ := s.osc.Route(cat, arrival)
-
-	// Telemetry samples are read-only and taken around — never inside —
-	// the model's own calls, so the simulated outcome is identical with
-	// tracing on or off.
-	var backlog int
-	var missBase uint64
-	if u.trc != nil {
-		backlog = s.osc.Backlog(q, arrival)
-		missBase = s.clusterMisses(q)
-	}
-	execCycles := s.osCores[q].RunSegment(seg)
-	scaled := oscore.Scale(execCycles, s.osc.Speed(q))
-	start, wait := s.osc.Reserve(q, cat, arrival, scaled)
-
+	arrival := u.clock + oneWay
+	q, _ := s.osc.Route(syscalls.CategoryOf(seg.Sys), arrival)
+	start, wait, scaled := s.bookOffload(u, seg, q, arrival, async)
 	if async {
 		complete := start + scaled + oneWay
 		s.osc.PushAsync(u.idx, complete, q)
@@ -70,10 +56,29 @@ func (s *Simulator) clusterOffload(u *userCtx, seg *trace.Segment) {
 		u.core.Idle(total)
 		u.clock += total
 	}
+}
+
+// bookOffload runs user core u's off-loaded segment on OS core q, books
+// q's queue from arrival and emits the off-load's telemetry. It returns
+// the reservation start, the queue wait and the execution cycles scaled
+// by q's speed factor; the caller charges the issuing core.
+func (s *Simulator) bookOffload(u *userCtx, seg *trace.Segment, q int, arrival uint64, async bool) (start, wait, scaled uint64) {
+	// Telemetry samples are read-only and taken around — never inside —
+	// the model's own calls, so the simulated outcome is identical with
+	// tracing on or off.
+	var backlog int
+	var missBase uint64
 	if u.trc != nil {
-		s.emitClusterOffload(u.idx, seg, dispatch, arrival, start, wait,
-			scaled, q, backlog, s.clusterMisses(q)-missBase, async)
+		backlog = s.osc.Backlog(q, arrival)
+		missBase = s.clusterMisses(q)
 	}
+	scaled = oscore.Scale(s.osCores[q].RunSegment(seg), s.osc.Speed(q))
+	start, wait = s.osc.Reserve(q, syscalls.CategoryOf(seg.Sys), arrival, scaled)
+	if u.trc != nil {
+		s.emitClusterOffload(u, seg, arrival, start, wait, scaled, q, backlog,
+			s.clusterMisses(q)-missBase, async)
+	}
+	return start, wait, scaled
 }
 
 // awaitAsyncSlot frees a return slot on user core u, reconciling the
@@ -118,39 +123,39 @@ func (s *Simulator) reconcileAsync(u *userCtx, complete uint64, q int) {
 	}
 }
 
-// emitClusterOffload records one off-load: dispatch, routed enqueue
-// (wait and observed backlog), execution on the serving core with its
-// cache warm-up cost, and — synchronous only — the return to the
-// issuing core. Async returns are emitted by reconcileAsync when they
-// actually land. node indexes the issuing core's ring. Runs without an
-// OSCores block keep the single-OS-core event names (offload_queue,
-// offload_execute); cluster runs name the serving core (oscore_enqueue,
-// oscore_execute).
-func (s *Simulator) emitClusterOffload(node int, seg *trace.Segment,
-	dispatch, arrival, start, wait, scaled uint64, q, backlog int, missDelta uint64, async bool) {
+// emitClusterOffload records user core u's off-load: dispatch, routed
+// enqueue (wait and observed backlog), execution on the serving core
+// with its cache warm-up cost, and — synchronous only — the return to
+// the issuing core. Async returns are emitted by reconcileAsync when
+// they actually land. Runs without an OSCores block keep the
+// single-OS-core event names (offload_queue, offload_execute); cluster
+// runs name the serving core (oscore_enqueue, oscore_execute).
+func (s *Simulator) emitClusterOffload(u *userCtx, seg *trace.Segment,
+	arrival, start, wait, scaled uint64, q, backlog int, missDelta uint64, async bool) {
 	enqueue, execute := telemetry.KindOffloadQueue, telemetry.KindOffloadExecute
 	if s.cfg.OSCores.Enabled {
 		enqueue, execute = telemetry.KindOSCoreEnqueue, telemetry.KindOSCoreExecute
 	}
 	oneWay := uint64(s.cfg.Migration.OneWay)
+	dispatch := arrival - oneWay
 	sys := int32(seg.Sys)
-	s.trc.Emit(node, telemetry.Event{
+	u.trc.Emit(u.idx, telemetry.Event{
 		Time: dispatch, Kind: telemetry.KindOffloadDispatch, Sys: sys, Cycles: oneWay,
 	})
-	s.trc.Emit(node, telemetry.Event{
+	u.trc.Emit(u.idx, telemetry.Event{
 		Time: arrival, Kind: enqueue, Sys: sys,
 		Cycles: wait, Value: int64(backlog),
 	})
-	s.trc.Emit(node, telemetry.Event{
+	u.trc.Emit(u.idx, telemetry.Event{
 		Time: start, Kind: execute, Sys: sys,
 		Cycles: scaled, Value: int64(q),
 	})
-	s.trc.Emit(node, telemetry.Event{
+	u.trc.Emit(u.idx, telemetry.Event{
 		Time: start, Kind: telemetry.KindCacheWarm, Sys: sys, Value: int64(missDelta),
 	})
 	if !async {
 		total := oneWay + wait + scaled + oneWay
-		s.trc.Emit(node, telemetry.Event{
+		u.trc.Emit(u.idx, telemetry.Event{
 			Time: dispatch + total, Kind: telemetry.KindOffloadReturn, Sys: sys, Cycles: total,
 		})
 	}

@@ -18,30 +18,38 @@ func oscoresCfg(kind policy.Kind, block OSCores) Config {
 	return cfg
 }
 
+// collapsingBlocks are enabled blocks that describe the default single
+// OS core (K=1, synchronous, symmetric, no depth modulation);
+// nonCollapsingBlocks each describe something that core cannot.
+var (
+	collapsingBlocks = []OSCores{
+		{Enabled: true},
+		{Enabled: true, K: 1},
+		{Enabled: true, K: 1, Affinity: "file=0"},
+		{Enabled: true, K: 1, Asymmetry: "1"},
+		{Enabled: true, K: 1, Rebalance: true},
+	}
+	nonCollapsingBlocks = []OSCores{
+		{Enabled: true, K: 2},
+		{Enabled: true, K: 1, Async: true},
+		{Enabled: true, K: 1, Asymmetry: "0.5"},
+		{Enabled: true, K: 1, DepthN: 50},
+	}
+)
+
 func TestOSCoresWithDefaults(t *testing.T) {
 	// Disabled blocks zero out whatever stale knobs they carry.
 	if got := (OSCores{K: 7, Async: true, DepthN: 3}).withDefaults(); got != (OSCores{}) {
 		t.Fatalf("disabled block kept fields: %+v", got)
 	}
 	// A K=1 synchronous symmetric block is the default single OS core.
-	for _, o := range []OSCores{
-		{Enabled: true},
-		{Enabled: true, K: 1},
-		{Enabled: true, K: 1, Affinity: "file=0"},
-		{Enabled: true, K: 1, Asymmetry: "1"},
-		{Enabled: true, K: 1, Rebalance: true},
-	} {
+	for _, o := range collapsingBlocks {
 		if got := o.withDefaults(); got != (OSCores{}) {
 			t.Errorf("%+v should collapse to the disabled block, got %+v", o, got)
 		}
 	}
 	// Anything the default single OS core cannot express stays enabled.
-	for _, o := range []OSCores{
-		{Enabled: true, K: 2},
-		{Enabled: true, K: 1, Async: true},
-		{Enabled: true, K: 1, Asymmetry: "0.5"},
-		{Enabled: true, K: 1, DepthN: 50},
-	} {
+	for _, o := range nonCollapsingBlocks {
 		if got := o.withDefaults(); !got.Enabled {
 			t.Errorf("%+v collapsed but is not the default single OS core", o)
 		}
@@ -100,16 +108,35 @@ func TestOSCoresValidate(t *testing.T) {
 		})
 	}
 
-	// The parallel engine cannot express the cluster model.
-	cfg := oscoresCfg(policy.HardwarePredictor, OSCores{Enabled: true, K: 2})
-	cfg.Parallel = DefaultParallel()
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Parallel+OSCores accepted")
+	// Both engines run one step, and the parallel engine's quantum
+	// workers run it concurrently against one shared cluster. step calls
+	// a cluster method only under Async (drainAsync) or DepthN > 0 (the
+	// depth modulation), and the barrier books every deferred off-load on
+	// queue 0 at full speed. So quantum workers call no cluster method
+	// only because every block the default single OS core cannot express
+	// is rejected with Parallel.
+	for _, o := range nonCollapsingBlocks {
+		cfg := oscoresCfg(policy.HardwarePredictor, o)
+		cfg.Parallel = DefaultParallel()
+		if err := cfg.Validate(); err == nil ||
+			!strings.Contains(err.Error(), "Parallel cannot be combined with OSCores") {
+			t.Errorf("Parallel with %+v: err = %v, want the Parallel+OSCores rejection", o, err)
+		}
 	}
-	// ...but a block that collapses to the default composes fine.
-	cfg.OSCores = OSCores{Enabled: true, K: 1}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Parallel with collapsing OSCores rejected: %v", err)
+	// A block that collapses to the default is the same config as no
+	// block, and runs on the parallel engine.
+	for _, o := range collapsingBlocks {
+		cfg := oscoresCfg(policy.HardwarePredictor, o)
+		cfg.Parallel = DefaultParallel()
+		cfg.WarmupInstrs, cfg.MeasureInstrs = 0, 20_000
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("Parallel with collapsing %+v rejected: %v", o, err)
+		}
+		if r := s.Run(); r.Parallel == nil || r.Parallel.Quanta == 0 || r.OffloadRate == 0 {
+			t.Errorf("Parallel with collapsing %+v: parallel provenance %+v, off-load rate %v",
+				o, r.Parallel, r.OffloadRate)
+		}
 	}
 }
 

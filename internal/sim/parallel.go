@@ -21,7 +21,6 @@ import (
 
 	"offloadsim/internal/coherence"
 	"offloadsim/internal/parallel"
-	"offloadsim/internal/syscalls"
 	"offloadsim/internal/trace"
 )
 
@@ -43,7 +42,9 @@ type offloadEvent struct {
 	seq     uint32
 }
 
-// parRuntime is the Simulator's lazily built parallel-engine state.
+// parRuntime is the parallel engine's state, built by New when
+// Config.Parallel is enabled. Per-core slices are indexed by the user
+// core's ID.
 type parRuntime struct {
 	workers int
 	quantum uint64
@@ -60,7 +61,9 @@ type parRuntime struct {
 	quanta   uint64
 }
 
-func (s *Simulator) parRuntimeInit() *parRuntime {
+// newParRuntime builds the parallel engine's state and routes each user
+// core's memory traffic through its own epoch port for the whole run.
+func (s *Simulator) newParRuntime() *parRuntime {
 	pr := &parRuntime{
 		workers:  parallel.Resolve(s.cfg.Parallel.Workers, runtime.GOMAXPROCS(0), len(s.users)),
 		quantum:  s.cfg.Parallel.Quantum,
@@ -68,47 +71,19 @@ func (s *Simulator) parRuntimeInit() *parRuntime {
 		offloads: make([][]offloadEvent, len(s.users)),
 	}
 	for _, u := range s.users {
-		pr.ports = append(pr.ports, s.sys.NewEpochPort(u.core.Node()))
+		port := s.sys.NewEpochPort(u.core.Node())
+		u.core.SetPort(port)
+		pr.ports = append(pr.ports, port)
 	}
 	return pr
 }
 
-// runUntilParallel is runUntil's quantum-barrier counterpart: the done
-// predicate is evaluated only at barriers, where the shared state is
-// consistent, and — like the serial loop — cores that satisfy it early
-// keep executing until every core does.
-func (s *Simulator) runUntilParallel(done func(*userCtx) bool) {
-	if s.par == nil {
-		s.par = s.parRuntimeInit()
-		for i, u := range s.users {
-			u.core.SetPort(s.par.ports[i])
-		}
-	}
-	for {
-		allDone := true
-		for _, u := range s.users {
-			if !done(u) {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			return
-		}
-		s.runQuantum(s.par)
-	}
-}
-
 // runQuantum advances every user core to the barrier horizon
-// min(clocks)+Quantum on the worker pool, then reconciles serially.
-func (s *Simulator) runQuantum(pr *parRuntime) {
-	t := s.users[0].clock
-	for _, u := range s.users[1:] {
-		if u.clock < t {
-			t = u.clock
-		}
-	}
-	t += pr.quantum
+// min(clocks)+Quantum on the worker pool, each running step, then
+// reconciles serially.
+func (s *Simulator) runQuantum() {
+	pr := s.par
+	t := s.minClock().clock + pr.quantum
 
 	if s.osc != nil {
 		free := s.osc.Queue(0).FreeAt()
@@ -125,7 +100,7 @@ func (s *Simulator) runQuantum(pr *parRuntime) {
 	parallel.Run(pr.workers, len(s.users), func(i int) {
 		u := s.users[i]
 		for u.clock < t {
-			s.stepParallel(u, pr, i)
+			s.step(u)
 		}
 	})
 
@@ -134,76 +109,43 @@ func (s *Simulator) runQuantum(pr *parRuntime) {
 	pr.quanta++
 }
 
-// stepParallel is step() under quantum isolation: identical control
-// flow, with two substitutions. Memory traffic flows through the core's
-// EpochPort (installed via SetPort), and an off-load is priced from the
-// epoch-start queue snapshot and deferred to the barrier instead of
-// executing on the OS core immediately.
-func (s *Simulator) stepParallel(u *userCtx, pr *parRuntime, i int) {
-	u.seg = u.gen.Next()
-	seg := &u.seg
-	pr.ports[i].SetTime(u.clock)
-	if !seg.IsOS() {
-		u.clock += u.core.RunSegment(seg)
-		u.advance(seg)
-		return
+// deferOffload is clusterOffload under quantum isolation: the off-load
+// is priced from the quantum-start snapshot (the core's private view of
+// the OS queue and the calibrated OS CPI), charged to the core as an
+// estimate, and logged for the barrier, where resolveOffloads books it.
+func (s *Simulator) deferOffload(u *userCtx, seg *trace.Segment) {
+	pr, i := s.par, u.core.ID()
+	oneWay := uint64(s.cfg.Migration.OneWay)
+	arrival := u.clock + oneWay
+	execEst := uint64(float64(float64(seg.Instrs)*pr.osCPI) + 0.5)
+	if execEst < uint64(seg.Instrs) {
+		execEst = uint64(seg.Instrs)
 	}
-
-	entry := u.clock
-	d := u.pol.Decide(seg)
-	if u.trc != nil {
-		// Mid-quantum events carry the engine's within-quantum clock —
-		// the same estimated timeline the engine itself runs on, so the
-		// emission is deterministic at any Workers setting.
-		u.emitDecide(entry, seg, d)
+	wait := uint64(0)
+	if pr.freeAt[i] > arrival {
+		wait = pr.freeAt[i] - arrival
 	}
-	if d.Overhead > 0 {
-		u.core.Stall(uint64(d.Overhead))
-		u.clock += uint64(d.Overhead)
-	}
-
-	if d.Offload && !s.cfg.InstrumentOnly && s.osc != nil {
-		oneWay := uint64(s.cfg.Migration.OneWay)
-		arrival := u.clock + oneWay
-		execEst := uint64(float64(float64(seg.Instrs)*pr.osCPI) + 0.5)
-		if execEst < uint64(seg.Instrs) {
-			execEst = uint64(seg.Instrs)
-		}
-		wait := uint64(0)
-		if pr.freeAt[i] > arrival {
-			wait = pr.freeAt[i] - arrival
-		}
-		pr.freeAt[i] = arrival + wait + execEst
-		est := oneWay + wait + execEst + oneWay
-		pr.offloads[i] = append(pr.offloads[i], offloadEvent{
-			seg:     *seg,
-			arrival: arrival,
-			est:     est,
-			node:    int32(i),
-			seq:     uint32(len(pr.offloads[i])),
-		})
-		u.core.Idle(est)
-		u.clock += est
-	} else {
-		cycles := u.core.RunSegment(seg)
-		u.clock += cycles
-		if u.trc != nil {
-			u.emitLocalOS(seg, cycles)
-		}
-	}
-	u.pol.Observe(seg, d, seg.Instrs)
-	if u.trc != nil {
-		u.emitOutcome(seg, d)
-	}
-	u.advance(seg)
+	pr.freeAt[i] = arrival + wait + execEst
+	est := oneWay + wait + execEst + oneWay
+	pr.offloads[i] = append(pr.offloads[i], offloadEvent{
+		seg:     *seg,
+		arrival: arrival,
+		est:     est,
+		node:    int32(i),
+		seq:     uint32(len(pr.offloads[i])),
+	})
+	u.core.Idle(est)
+	u.clock += est
 }
 
-// resolveOffloads executes the quantum's deferred off-loads serially on
-// the real OS core in (arrival, core, sequence) order — the order the
-// serial engine's reservation queue would have seen them — and replaces
-// each issuing core's estimated round trip with the resolved cost.
-// Validate rejects Parallel with an OSCores block, so the cluster has
-// one full-speed synchronous queue and every off-load books queue 0.
+// resolveOffloads books the quantum's deferred off-loads serially
+// through bookOffload, in (arrival, core, sequence) order — the order
+// the serial engine's reservation queue would have seen them — so
+// telemetry, emitted as each one books, reaches every core's ring in
+// issue order at any Workers setting. Each issuing core's estimated
+// round trip is then replaced with the resolved cost. Validate rejects
+// Parallel with an OSCores block, so the cluster has one full-speed
+// synchronous queue and every off-load books queue 0.
 func (s *Simulator) resolveOffloads(pr *parRuntime) {
 	pr.merged = pr.merged[:0]
 	for i := range pr.offloads {
@@ -228,29 +170,12 @@ func (s *Simulator) resolveOffloads(pr *parRuntime) {
 	oneWay := uint64(s.cfg.Migration.OneWay)
 	for i := range pr.merged {
 		ev := &pr.merged[i]
-		// Barrier-resolved telemetry: samples bracket the model's own
-		// calls, emitted serially in the same (arrival, node, seq) order
-		// as the resolution itself — so every core's ring receives its
-		// off-load events in issue order at any Workers setting.
-		var backlog int
-		var missBase uint64
-		if s.trc != nil {
-			backlog = s.osc.Backlog(0, ev.arrival)
-			missBase = s.clusterMisses(0)
-		}
-		execCycles := s.osCores[0].RunSegment(&ev.seg)
-		start, wait := s.osc.Reserve(0, syscalls.CategoryOf(ev.seg.Sys), ev.arrival, execCycles)
-		total := oneWay + wait + execCycles + oneWay
 		u := s.users[ev.node]
+		_, wait, exec := s.bookOffload(u, &ev.seg, 0, ev.arrival, false)
+		total := oneWay + wait + exec + oneWay
 		u.core.AdjustIdle(int64(total) - int64(ev.est))
-		if total >= ev.est {
-			u.clock += total - ev.est
-		} else {
-			u.clock -= ev.est - total
-		}
-		if s.trc != nil {
-			s.emitClusterOffload(int(ev.node), &ev.seg, ev.arrival-oneWay, ev.arrival,
-				start, wait, execCycles, 0, backlog, s.clusterMisses(0)-missBase, false)
-		}
+		// Modular arithmetic: a resolution shorter than the estimate
+		// moves the clock back by the difference.
+		u.clock += total - ev.est
 	}
 }

@@ -285,11 +285,8 @@ func (s *Simulator) collect() Result {
 	r.Invalidations = cs.Invalidations.Value()
 	r.MemoryFills = cs.MemoryFills.Value()
 	r.MemoryWritebacks = s.sys.Memory().Writebacks()
-	if s.cfg.Parallel.Enabled {
-		r.Parallel = &ParallelProvenance{Quantum: s.cfg.Parallel.Quantum}
-		if s.par != nil {
-			r.Parallel.Quanta = s.par.quanta
-		}
+	if s.par != nil {
+		r.Parallel = &ParallelProvenance{Quantum: s.par.quantum, Quanta: s.par.quanta}
 	}
 	return r
 }

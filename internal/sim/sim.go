@@ -287,18 +287,23 @@ type userCtx struct {
 	// threshold quality.
 	tuningEnabled bool
 
-	// hooks installed by the Simulator so advance() can reach system
-	// state without a back-pointer
-	epochHitRateFn func() float64
-	resnapshot     func()
-
 	// seg is the in-flight segment, reused across steps so handing the
 	// policy and cores a pointer never forces a heap escape.
 	seg trace.Segment
 
-	// idx is the core's index; trc the attached tracer (nil when
-	// telemetry is off — every tracer method is nil-safe, and the step
-	// functions additionally guard their emission blocks on it).
+	// idx is the core's telemetry ring and async return-slot index. Only
+	// AttachTelemetry sets it, so on an untraced run every core's idx is
+	// 0 and an async cluster run books all cores' returns in core 0's
+	// slots. That defect is pinned, not fixed: the four
+	// *_oscore4_async_detailed golden cells and the multicore
+	// 4c-k4-async bench digest depend on it, and setting idx in New
+	// means regenerating both (ROADMAP, async return-slot index).
+	// Per-core state of the parallel engine is keyed by core.ID()
+	// instead.
+	//
+	// trc is the attached tracer (nil when telemetry is off — every
+	// tracer method is nil-safe, and step additionally guards its
+	// emission blocks on it).
 	idx int
 	trc *telemetry.Tracer
 }
@@ -318,7 +323,8 @@ type Simulator struct {
 	osc     *oscore.Cluster
 
 	// par is the parallel engine's runtime state (ports, event buffers,
-	// worker count), built lazily on the first parallel quantum.
+	// worker count), built by New when Config.Parallel is enabled; nil
+	// on the serial engine.
 	par *parRuntime
 
 	// trc is the attached telemetry tracer; nil when telemetry is off
@@ -402,7 +408,7 @@ func New(cfg Config) (*Simulator, error) {
 			ctx.tun = tun
 			ctx.epochTarget = tun.EpochLength()
 			pol.SetThreshold(tun.Threshold())
-			ctx.snapshotEpoch(s)
+			ctx.snapshotEpoch()
 		}
 		s.users = append(s.users, ctx)
 	}
@@ -432,7 +438,9 @@ func New(cfg Config) (*Simulator, error) {
 		s.osc = oscore.NewCluster(k, cfg.OSCoreSlots, aff, speeds,
 			cfg.OSCores.Rebalance, cfg.OSCores.AsyncSlots, cfg.UserCores)
 	}
-	s.installEpochHooks()
+	if cfg.Parallel.Enabled {
+		s.par = s.newParRuntime()
+	}
 	return s, nil
 }
 
@@ -494,7 +502,7 @@ func (s *Simulator) buildPolicy() (policy.Policy, error) {
 }
 
 // snapshotEpoch records the state the epoch feedback is measured against.
-func (u *userCtx) snapshotEpoch(s *Simulator) {
+func (u *userCtx) snapshotEpoch() {
 	u.snapClock = u.clock
 	u.snapRetired = u.retired
 }
@@ -507,7 +515,7 @@ func (u *userCtx) snapshotEpoch(s *Simulator) {
 // "better"), so the sampler is fed epoch IPC instead — an equally
 // available hardware counter. The sampling framework is unchanged; the
 // substitution is recorded in DESIGN.md.
-func (u *userCtx) epochFeedback(s *Simulator) float64 {
+func (u *userCtx) epochFeedback() float64 {
 	cycles := u.clock - u.snapClock
 	if cycles == 0 {
 		return 0
@@ -515,10 +523,20 @@ func (u *userCtx) epochFeedback(s *Simulator) float64 {
 	return float64(u.retired-u.snapRetired) / float64(cycles)
 }
 
-// step advances one user core by one segment.
+// step advances one user core by one segment, on either engine. The two
+// differ only in where an off-load goes: the serial engine books it on
+// the OS-core cluster now (clusterOffload); the parallel engine, whose
+// quantum workers share no cluster state, prices it from the quantum
+// snapshot and logs it for the barrier (deferOffload). Validate rejects
+// Parallel with an enabled OSCores block, so the Async and DepthN
+// branches below never run on a quantum worker.
 func (s *Simulator) step(u *userCtx) {
 	u.seg = u.gen.Next()
 	seg := &u.seg
+	if s.par != nil {
+		// Memory events this segment logs carry its start time.
+		s.par.ports[u.core.ID()].SetTime(u.clock)
+	}
 	if !seg.IsOS() {
 		cycles := u.core.RunSegment(seg)
 		u.clock += cycles
@@ -545,6 +563,8 @@ func (s *Simulator) step(u *userCtx) {
 		u.pol.SetThreshold(depthBase)
 	}
 	if u.trc != nil {
+		// On the parallel engine the clock is the quantum's own estimated
+		// timeline, so emission is deterministic at any Workers setting.
 		u.emitDecide(entry, seg, d)
 	}
 	if d.Overhead > 0 {
@@ -553,12 +573,17 @@ func (s *Simulator) step(u *userCtx) {
 	}
 
 	if d.Offload && !s.cfg.InstrumentOnly && s.osc != nil {
-		s.clusterOffload(u, seg)
+		if s.par != nil {
+			s.deferOffload(u, seg)
+		} else {
+			s.clusterOffload(u, seg)
+		}
 	} else {
 		// A locally executed OS segment is still an OS boundary: any
 		// outstanding fire-and-forget returns reconcile before the core
-		// re-enters privileged mode.
-		if s.osc != nil {
+		// re-enters privileged mode. Only async dispatch leaves returns
+		// pending.
+		if s.osc != nil && s.cfg.OSCores.Async {
 			s.drainAsync(u)
 		}
 		cycles := u.core.RunSegment(seg)
@@ -589,23 +614,15 @@ func (u *userCtx) advance(seg *trace.Segment) {
 	}
 	u.epochRetired = 0
 	// Feed the epoch's hit rate back; the tuner may change N.
-	u.tun.ReportEpoch(u.epochHitRateFn())
+	u.tun.ReportEpoch(u.epochFeedback())
 	u.pol.SetThreshold(u.tun.Threshold())
 	u.epochTarget = u.tun.EpochLength()
-	u.resnapshot()
+	u.snapshotEpoch()
 	if u.trc != nil {
 		u.trc.Emit(u.idx, telemetry.Event{
 			Time: u.clock, Kind: telemetry.KindRetune,
 			Sys: -1, Value: int64(u.tun.Threshold()),
 		})
-	}
-}
-
-func (s *Simulator) installEpochHooks() {
-	for _, u := range s.users {
-		u := u
-		u.epochHitRateFn = func() float64 { return u.epochFeedback(s) }
-		u.resnapshot = func() { u.snapshotEpoch(s) }
 	}
 }
 
@@ -636,30 +653,34 @@ func (s *Simulator) Run() Result {
 	return s.collect()
 }
 
-// runUntil steps the system in clock order until every user core
-// satisfies done. Cores that finish early keep executing — freezing them
+// runUntil steps the system in clock order — one segment of the core
+// with the smallest clock, or on the parallel engine one quantum of
+// every core — until every user core satisfies done. Cores that finish
+// early keep executing — freezing them
 // would skew the per-core clocks and corrupt the shared OS-core timeline
 // (a fast compute tenant would appear to submit requests millions of
 // cycles "in the past" of a slow server tenant). Throughput is a ratio,
 // so the extra segments do not bias per-core results.
 func (s *Simulator) runUntil(done func(*userCtx) bool) {
-	if s.cfg.Parallel.Enabled {
-		s.runUntilParallel(done)
-		return
-	}
-	for {
-		allDone := true
-		for _, u := range s.users {
-			if !done(u) {
-				allDone = false
-				break
-			}
+	for !s.allDone(done) {
+		if s.par != nil {
+			s.runQuantum()
+		} else {
+			s.step(s.minClock())
 		}
-		if allDone {
-			return
-		}
-		s.step(s.minClock())
 	}
+}
+
+// allDone reports whether every user core satisfies done. The parallel
+// engine checks it only at barriers, where the shared state is
+// consistent.
+func (s *Simulator) allDone(done func(*userCtx) bool) bool {
+	for _, u := range s.users {
+		if !done(u) {
+			return false
+		}
+	}
+	return true
 }
 
 // minClock returns the user core with the smallest local clock.
@@ -686,7 +707,7 @@ func (s *Simulator) resetAfterWarmup() {
 		if u.tun != nil {
 			u.tuningEnabled = true
 			u.epochRetired = 0
-			u.snapshotEpoch(s)
+			u.snapshotEpoch()
 		}
 	}
 	for _, oc := range s.osCores {

@@ -112,21 +112,11 @@ func (u *userCtx) emitLocalOS(seg *trace.Segment, cycles uint64) {
 func (s *Simulator) runMeasureWithSeries() {
 	cadence := s.trc.IntervalInstrs()
 	total := s.cfg.MeasureInstrs
-	for {
-		// Exit exactly when the single-target loop would: every core at
-		// total. (The interval anchor below is the *furthest* core —
-		// using it for termination too would end the run while slower
-		// cores were still short.)
-		allDone := true
-		for _, u := range s.users {
-			if u.retired-u.retiredAtMeas < total {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			return
-		}
+	// Exit exactly when the single-target loop would: every core at
+	// total. (The interval anchor below is the *furthest* core — using
+	// it for termination too would end the run while slower cores were
+	// still short.)
+	for !s.allDone(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= total }) {
 		target := s.maxMeasured() + cadence
 		if target > total {
 			target = total
