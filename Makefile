@@ -9,9 +9,10 @@ GO ?= go
 .PHONY: ci fmt vet test race server-race build build-examples bench \
 	bench-engine bench-parallel bench-cluster \
 	accuracy accuracy-parallel golden golden-check fuzz-smoke \
-	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests fma-check
+	telemetry-overhead cluster-e2e obs-smoke bench-test bench-digests fma-check \
+	pgo-check
 
-ci: fmt vet fma-check build-examples race golden-check bench-test bench-digests fuzz-smoke telemetry-overhead obs-smoke cluster-e2e accuracy accuracy-parallel
+ci: fmt vet fma-check pgo-check build-examples race golden-check bench-test bench-digests fuzz-smoke telemetry-overhead obs-smoke cluster-e2e accuracy accuracy-parallel
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,29 @@ fma-check:
 		echo "fma-check: fused multiply-adds on arm64; wrap each product in float64(...):"; \
 		echo "$$out"; exit 1; \
 	fi
+
+# PGO inlining gate, part of `make ci` (~10 s). default.pgo names hot
+# call sites by their line offset inside the calling function, so one
+# line added to or removed from cpu.(*Core).RunSegment — a comment line
+# too — silently drops the profile-guided inlining of its hot calls
+# (docs/PERFORMANCE.md, PGO). The gate rebuilds internal/cpu with
+# default.pgo and fails, naming each call, unless RunSegment still
+# inlines NextData twice and NextIFetch, Probe and missRef once each.
+pgo-check:
+	@span="$$(awk '/^func \(c \*Core\) RunSegment\(/ { s = NR } s && /^}/ { print s, NR; exit }' internal/cpu/cpu.go)"; \
+	out="$$($(GO) build -a -pgo=default.pgo -gcflags=offloadsim/internal/cpu=-m ./internal/cpu 2>&1)" || { echo "$$out"; exit 1; }; \
+	missing="$$(echo "$$out" | awk -v span="$$span" ' \
+		BEGIN { split(span, r, " "); want["trace.(*Segment).NextData"] = 2; \
+			want["trace.(*Segment).NextIFetch"] = 1; want["cache.(*Cache).Probe"] = 1; \
+			want["(*Core).missRef"] = 1 } \
+		/^internal\/cpu\/cpu\.go:[0-9]+:[0-9]+: inlining call to / { split($$1, f, ":"); \
+			if (f[2] >= r[1] && f[2] <= r[2]) got[$$NF]++ } \
+		END { for (k in want) if (got[k] < want[k]) printf "  %s: %d of %d\n", k, got[k], want[k] }' | sort)"; \
+	if [ -z "$$span" ] || [ -n "$$missing" ]; then \
+		echo "pgo-check: cpu.(*Core).RunSegment lost profile-guided inlines (re-profile default.pgo or restore the line offsets):"; \
+		echo "$$missing"; exit 1; \
+	fi; \
+	echo "pgo-check: RunSegment inlines NextData x2, NextIFetch, Probe and missRef"
 
 test:
 	$(GO) test ./...
