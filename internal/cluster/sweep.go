@@ -325,64 +325,106 @@ func (c *Coordinator) Start(ctx context.Context, id string, req SweepRequest) (*
 	return s, nil
 }
 
-// run executes baselines (when normalizing) then the grid, with at
-// most Req.Concurrency points in flight.
+// run issues the grid in index order with at most Req.Concurrency
+// simulations in flight. When normalizing, each distinct workload's
+// baseline is issued just before that workload's first grid point, and
+// a point's row is built once both the point and that baseline have
+// finished, so a workload's rows stream without waiting for the
+// baselines of the workloads after it. Once a baseline is known to have
+// failed, no further point of its workload is issued; every point of
+// that workload fails with the baseline's error.
 func (s *Sweep) run(ctx context.Context, runPoint RunPointFunc) {
 	defer close(s.finished)
 
-	// Baselines first: one per workload, computed through the same
-	// fleet path as any point (so repeats across sweeps hit the cache).
-	baselines := make(map[string]float64, len(s.Req.Workloads))
-	baselineErr := make(map[string]error, len(s.Req.Workloads))
-	if *s.Req.Normalize {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		sem := make(chan struct{}, s.Req.Concurrency)
-		for _, wl := range s.Req.Workloads {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(wl string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res, err := s.execPoint(ctx, runPoint, BaselinePoint(wl))
-				mu.Lock()
-				if err != nil {
-					baselineErr[wl] = err
-				} else {
-					baselines[wl] = res.Throughput
-				}
-				mu.Unlock()
-			}(wl)
-		}
-		wg.Wait()
-	}
-
 	sem := make(chan struct{}, s.Req.Concurrency)
 	var wg sync.WaitGroup
-	for i := range s.points {
-		p := s.points[i]
-		if err, bad := baselineErr[p.Workload]; bad {
-			s.finishPoint(p, nil, fmt.Errorf("baseline for %s: %v", p.Workload, err))
+	// start runs f on a new goroutine and returns once f has begun. Go's
+	// scheduler runs the goroutine started last ahead of earlier ones, so
+	// without the wait a batch of free slots would reach the fleet out of
+	// issue order at GOMAXPROCS=1; with it, f runs until it blocks in
+	// RunPoint before the next issue.
+	start := func(f func()) {
+		begun := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			close(begun)
+			f()
+		}()
+		<-begun
+	}
+	// Baselines are computed through the same fleet path as any point,
+	// so repeats across sweeps hit the cache.
+	baselines := make(map[string]*baseline, len(s.Req.Workloads))
+	for _, p := range s.points {
+		var b *baseline
+		if *s.Req.Normalize {
+			if b = baselines[p.Workload]; b == nil {
+				b = &baseline{done: make(chan struct{})}
+				baselines[p.Workload] = b
+				sem <- struct{}{}
+				start(func() {
+					res, err := s.execPoint(ctx, runPoint, BaselinePoint(p.Workload))
+					if err != nil {
+						b.err = fmt.Errorf("baseline for %s: %v", p.Workload, err)
+					}
+					b.throughput = res.Throughput
+					close(b.done)
+					<-sem
+				})
+			}
+		}
+		sem <- struct{}{}
+		if err := b.failed(); err != nil {
+			<-sem
+			s.finishPoint(p, nil, err, false)
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
 		s.mu.Lock()
 		s.running++
 		s.mu.Unlock()
-		go func(p Point) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		start(func() {
 			res, err := s.execPoint(ctx, runPoint, p)
+			<-sem
+			var tput float64
+			if b != nil {
+				<-b.done
+				if b.err != nil {
+					err = b.err
+				}
+				tput = b.throughput
+			}
 			if err != nil {
-				s.finishPoint(p, nil, err)
+				s.finishPoint(p, nil, err, true)
 				return
 			}
-			row := BuildRow(p, res, baselines[p.Workload])
-			s.finishPoint(p, &row, nil)
-		}(p)
+			row := BuildRow(p, res, tput)
+			s.finishPoint(p, &row, nil, true)
+		})
 	}
 	wg.Wait()
+}
+
+// baseline is one workload's normalization run, shared by every grid
+// point of that workload.
+type baseline struct {
+	done       chan struct{} // closed once throughput and err are set
+	throughput float64
+	err        error // the error the workload's points fail with
+}
+
+// failed returns b's error once b has finished and failed; nil while b
+// runs, after it succeeded, or for no baseline at all.
+func (b *baseline) failed() error {
+	if b == nil {
+		return nil
+	}
+	select {
+	case <-b.done:
+		return b.err
+	default:
+		return nil
+	}
 }
 
 // execPoint runs one point and decodes its result document.
@@ -398,13 +440,9 @@ func (s *Sweep) execPoint(ctx context.Context, runPoint RunPointFunc, p Point) (
 	return res, nil
 }
 
-// finishPoint records a terminal state for p and wakes its streamers.
-// Baseline points (Index -1) have no slot and only surface as failures
-// through the grid points that depended on them.
-func (s *Sweep) finishPoint(p Point, row *Row, err error) {
-	if p.Index < 0 {
-		return
-	}
+// finishPoint records a terminal state for grid point p and wakes its
+// streamers. ran says whether p was issued, and so counted as running.
+func (s *Sweep) finishPoint(p Point, row *Row, err error, ran bool) {
 	pr := &PointResult{
 		Index:     p.Index,
 		Workload:  p.Workload,
@@ -424,7 +462,7 @@ func (s *Sweep) finishPoint(p Point, row *Row, err error) {
 	}
 	s.mu.Lock()
 	s.results[p.Index] = pr
-	if s.running > 0 {
+	if ran {
 		s.running--
 	}
 	if err != nil {

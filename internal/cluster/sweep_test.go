@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -165,15 +166,217 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 
 // TestSweepBaselineFailurePropagates: when a workload's baseline run
 // fails, every grid point of that workload fails with a diagnosable
-// error instead of dividing by zero or hanging.
+// error instead of dividing by zero or hanging, and the other
+// workload's points are unaffected. With one slot the failure is known
+// before the workload's first point could start, so none is issued.
 func TestSweepBaselineFailurePropagates(t *testing.T) {
-	c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
-		if p.Policy == "baseline" {
-			return nil, fmt.Errorf("baseline exploded")
+	for _, conc := range []int{1, DefaultSweepConcurrency} {
+		var mu sync.Mutex
+		derbyPoints := 0
+		c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
+			if p.Workload == "derby" {
+				if p.Policy == "baseline" {
+					return nil, fmt.Errorf("baseline exploded")
+				}
+				mu.Lock()
+				derbyPoints++
+				mu.Unlock()
+			}
+			return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
+		}}
+		s, err := c.Start(context.Background(), "s-3", SweepRequest{
+			Workloads:   []string{"derby", "apache"},
+			Thresholds:  []int{100, 1000},
+			Concurrency: conc,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return json.Marshal(sim.Result{Throughput: 1})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var lines []*PointResult
+		if err := s.Stream(ctx, func(pr *PointResult) error { lines = append(lines, pr); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if len(lines) != 4 {
+			t.Fatalf("concurrency %d: streamed %d lines, want 4", conc, len(lines))
+		}
+		for _, pr := range lines {
+			switch pr.Workload {
+			case "derby":
+				if pr.Status != "failed" || pr.Error != "baseline for derby: baseline exploded" || pr.Row != nil {
+					t.Errorf("concurrency %d: derby point %+v, want failed with the baseline's error", conc, pr)
+				}
+			default:
+				if pr.Status != "done" || pr.Row == nil || pr.Row.Normalized != 1 {
+					t.Errorf("concurrency %d: apache point %+v, want done and normalized", conc, pr)
+				}
+			}
+		}
+		mu.Lock()
+		if conc == 1 && derbyPoints != 0 {
+			t.Errorf("concurrency 1: %d derby grid points ran after their baseline failed", derbyPoints)
+		}
+		mu.Unlock()
+	}
+}
+
+// TestSweepProgressCountsIssuedPoints: points that fail because their
+// baseline failed were never running, so they must not lower the
+// running count of points that are.
+func TestSweepProgressCountsIssuedPoints(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
+		switch {
+		case p.Workload == "derby" && p.Policy == "baseline":
+			return nil, fmt.Errorf("baseline exploded")
+		case p.Workload == "apache" && p.Index >= 0:
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
 	}}
-	s, err := c.Start(context.Background(), "s-3", SweepRequest{Workloads: []string{"apache"}})
+	s, err := c.Start(ctx, "s-4", SweepRequest{
+		Workloads:  []string{"apache", "derby"},
+		Thresholds: []int{100, 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points 2 and 3 are derby's; the apache points 0 and 1 block.
+	for _, i := range []int{2, 3} {
+		select {
+		case <-s.ready[i]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("derby point %d never failed", i)
+		}
+	}
+	want := Progress{ID: "s-4", Total: 4, Failed: 2, Running: 2}
+	if got := s.Progress(); got != want {
+		t.Errorf("progress while apache points block = %+v, want %+v", got, want)
+	}
+	close(release)
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer wcancel()
+	if err := s.Wait(wctx); err != nil {
+		t.Fatal(err)
+	}
+	want = Progress{ID: "s-4", Total: 4, Done: 2, Failed: 2, Complete: true}
+	if got := s.Progress(); got != want {
+		t.Errorf("final progress = %+v, want %+v", got, want)
+	}
+}
+
+// TestSweepStreamsBeforeLaterBaselines: a workload's rows need only its
+// own baseline, so they stream while a later workload's baseline is
+// still running. The fake holds derby's baseline until every apache row
+// has been emitted.
+func TestSweepStreamsBeforeLaterBaselines(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	apacheRows := make(chan struct{})
+	c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
+		res := sim.Result{Policy: p.Policy, Throughput: 2}
+		if p.Policy == "baseline" {
+			res.Throughput = 1
+			if p.Workload == "derby" {
+				select {
+				case <-apacheRows:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+		}
+		return json.Marshal(res)
+	}}
+	s, err := c.Start(ctx, "s-5", SweepRequest{
+		Workloads:  []string{"apache", "derby"},
+		Thresholds: []int{100, 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
+	defer scancel()
+	var lines []*PointResult
+	err = s.Stream(sctx, func(pr *PointResult) error {
+		lines = append(lines, pr)
+		if len(lines) == 2 {
+			close(apacheRows)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("stream after %d rows: %v (apache rows waited for derby's baseline)", len(lines), err)
+	}
+	for i, pr := range lines {
+		if pr.Index != i || pr.Status != "done" || pr.Row == nil || pr.Row.Normalized != 2 {
+			t.Errorf("line %d = %+v, want point %d done with normalized 2", i, pr, i)
+		}
+	}
+}
+
+// TestSweepIssuesInIndexOrder: RunPoint is called in issue order, each
+// workload's baseline just before its first grid point. At GOMAXPROCS=1
+// the scheduler runs the goroutine started last first, so this fails if
+// the coordinator stops waiting for each started point to reach RunPoint.
+func TestSweepIssuesInIndexOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const total = 6 // 2 workloads x 2 thresholds, plus 2 baselines
+	called := make(chan string, total)
+	release := make(chan struct{})
+	c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
+		called <- fmt.Sprintf("%s/%s/%d", p.Workload, p.Policy, p.Threshold)
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
+	}}
+	s, err := c.Start(ctx, "s-7", SweepRequest{
+		Workloads:  []string{"apache", "derby"},
+		Thresholds: []int{100, 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"apache/baseline/1000", "apache/HI/100", "apache/HI/1000",
+		"derby/baseline/1000", "derby/HI/100", "derby/HI/1000",
+	}
+	for i, w := range want {
+		select {
+		case got := <-called:
+			if got != w {
+				t.Errorf("RunPoint call %d = %s, want %s", i, got, w)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d RunPoint calls", i, total)
+		}
+	}
+	close(release)
+	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer wcancel()
+	if err := s.Wait(wctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepRepeatedWorkloadOneBaseline: a workload listed twice still
+// has one baseline run, shared by the points of both listings.
+func TestSweepRepeatedWorkloadOneBaseline(t *testing.T) {
+	calls := map[string]int{}
+	var mu sync.Mutex
+	c := &Coordinator{RunPoint: fakeRunPoint(t, calls, &mu)}
+	s, err := c.Start(context.Background(), "s-6", SweepRequest{Workloads: []string{"apache", "apache"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +386,20 @@ func TestSweepBaselineFailurePropagates(t *testing.T) {
 	if err := s.Stream(ctx, func(pr *PointResult) error { lines = append(lines, pr); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 1 || lines[0].Status != "failed" {
-		t.Fatalf("lines = %+v, want one failed point", lines)
+	if len(lines) != 2 {
+		t.Fatalf("streamed %d lines, want 2", len(lines))
+	}
+	for _, pr := range lines {
+		if pr.Status != "done" || pr.Row == nil || pr.Row.Normalized <= 1 {
+			t.Errorf("point %+v, want done and normalized against the 0.5 baseline", pr)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := calls["apache/baseline/1000/100"]; n != 1 {
+		t.Errorf("apache baseline ran %d times, want once", n)
+	}
+	if n := calls["apache/HI/100/100"]; n != 2 {
+		t.Errorf("apache grid point ran %d times, want once per listing", n)
 	}
 }

@@ -63,7 +63,9 @@ func (s *Simulator) telemetryMeta() telemetry.Meta {
 		OSCore:    s.osc != nil,
 		Seed:      s.cfg.Seed,
 	}
-	if s.cfg.OSCores.Enabled {
+	// A Baseline config keeps an OS-core block that builds no cluster
+	// (and that CanonicalKey drops), so only a built cluster is reported.
+	if s.osc != nil && s.cfg.OSCores.Enabled {
 		meta.OSCores = s.cfg.OSCores.K
 	}
 	return meta

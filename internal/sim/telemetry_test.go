@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"offloadsim/internal/core"
+	"offloadsim/internal/policy"
 	"offloadsim/internal/telemetry"
 	"offloadsim/internal/workloads"
 )
@@ -99,6 +100,33 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 				t.Error("capture has no interval series")
 			}
 		})
+	}
+}
+
+// TestBaselineTraceIgnoresOSCores: a Baseline run builds no OS core,
+// so an OS-core block neither changes its canonical key nor its trace;
+// the capture header must not claim OS cores the run never had.
+func TestBaselineTraceIgnoresOSCores(t *testing.T) {
+	plain := DefaultConfig(workloads.Apache())
+	plain.Policy = policy.Baseline
+	plain.WarmupInstrs = 20_000
+	plain.MeasureInstrs = 60_000
+	block := plain
+	block.OSCores = OSCores{Enabled: true, K: 2}
+	plainKey, err := CanonicalKey(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, err := CanonicalKey(block); err != nil || key != plainKey {
+		t.Fatalf("OS-core block changed a Baseline key: %q vs %q (%v)", key, plainKey, err)
+	}
+	_, plainCap, plainJSONL := tracedRun(t, plain)
+	_, blockCap, blockJSONL := tracedRun(t, block)
+	if blockCap.Meta != plainCap.Meta {
+		t.Errorf("capture header with an OS-core block = %+v, want %+v", blockCap.Meta, plainCap.Meta)
+	}
+	if !bytes.Equal(blockJSONL, plainJSONL) {
+		t.Error("an OS-core block changed a Baseline trace")
 	}
 }
 

@@ -57,10 +57,10 @@ type Meta struct {
 	Threshold int    `json:"threshold"`
 	UserCores int    `json:"user_cores"`
 	OSCore    bool   `json:"os_core"`
-	// OSCores is the OS-cluster core count K when the run carried an
-	// enabled Config.OSCores block (internal/oscore); 0 — and omitted —
-	// for the default single OS core, whose headers read as they always
-	// have.
+	// OSCores is the OS-cluster core count K when the run built a
+	// cluster from an enabled Config.OSCores block (internal/oscore); 0
+	// — and omitted — for the default single OS core, whose headers read
+	// as they always have, and for a Baseline run, which builds none.
 	OSCores int    `json:"os_cores,omitempty"`
 	Seed    uint64 `json:"seed"`
 	// TimeUnit names the unit of every Time/Cycles field: "cycle".
