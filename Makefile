@@ -182,10 +182,12 @@ golden:
 
 # Short fuzz runs of the config-canonicalization, policy-parsing and
 # affinity-parsing fuzzers, of the two decoders offsimd runs on
-# untrusted request bodies (job specs, sweep grids), and of the one
-# trace-file decoder (obs.ReadJSONL, behind tracedump -convert); part of
+# untrusted request bodies (job specs, sweep grids), and of the two
+# trace-file decoders (obs.ReadJSONL, behind tracedump -convert, and
+# tracefile.Reader, behind tracedump -summary/-replay); part of
 # `make ci`. The committed seed corpora live under each package's
-# testdata/fuzz/. The trace seeds are export excerpts of up to 2 KB;
+# testdata/fuzz/; FuzzReadTracefile builds its seeds in the test. The
+# JSONL trace seeds are export excerpts of up to 2 KB;
 # minimizing each new input derived from them for the default 60 s would
 # use up the run, so FuzzReadJSONL minimizes for at most 1 s.
 fuzz-smoke:
@@ -195,3 +197,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTracefile$$' -fuzztime 10s ./internal/tracefile/

@@ -11,8 +11,9 @@ import (
 // FuzzSweepRequest feeds arbitrary request bodies through the decoder
 // POST /v1/sweeps uses, then through Expand. Nothing may panic,
 // and an accepted grid must stay within maxSweepPoints and
-// sim.MaxReplicas, so expanding and running it is safe. The seed corpus
-// is committed under testdata/fuzz.
+// sim.MaxReplicas, so expanding and running it is safe. No body reaches
+// the OS-core axis, so every point has K 0. The seed corpus is
+// committed under testdata/fuzz.
 func FuzzSweepRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
@@ -31,6 +32,11 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if got := len(points); got != n {
 			t.Fatalf("expanded %d points, want %d", got, n)
+		}
+		for _, p := range points {
+			if p.OSCores != 0 {
+				t.Fatalf("wire point %d has K %d; the wire has no K axis: %s", p.Index, p.OSCores, body)
+			}
 		}
 		if r.Replicas > sim.MaxReplicas {
 			t.Fatalf("accepted %d replicas per point (cap %d): %s", r.Replicas, sim.MaxReplicas, body)

@@ -486,6 +486,21 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("sweep with %d replicas: HTTP %d, want 400", sim.MaxReplicas+1, resp.StatusCode)
 	}
+	// The sweep's -os-cores axis is cmd/sweep's alone: the wire has no
+	// K axis under any spelling.
+	for _, body := range []string{
+		`{"workloads":["apache"],"OSCores":[1,2]}`,
+		`{"workloads":["apache"],"os_cores":[1,2]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep with a K axis %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
 	// Unknown fields are rejected too (catches client typos like "sede").
 	if code, _, _ := postJob(t, ts, []byte(`{"workload":"apache","sede":3}`)); code != http.StatusBadRequest {
 		t.Errorf("unknown field: HTTP %d, want 400", code)

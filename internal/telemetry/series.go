@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -104,9 +103,4 @@ func WriteSeriesCSV(w io.Writer, series []IntervalPoint) error {
 		}
 	}
 	return nil
-}
-
-// SeriesFileName names a sweep point's time-series CSV.
-func SeriesFileName(workload, policy string, threshold, oneWay int) string {
-	return fmt.Sprintf("%s_%s_n%d_lat%d.csv", workload, policy, threshold, oneWay)
 }

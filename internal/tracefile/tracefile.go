@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"offloadsim/internal/syscalls"
 	"offloadsim/internal/trace"
@@ -47,14 +48,18 @@ type Record struct {
 
 // Writer serializes records.
 type Writer struct {
-	w       *bufio.Writer
-	started bool
-	count   uint64
+	w     *bufio.Writer
+	count uint64
 }
 
-// NewWriter wraps w.
+// NewWriter wraps w. The header is buffered at once, so an empty trace
+// still carries it and readers can tell "empty" from "not a trace".
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
+	bw := bufio.NewWriter(w)
+	// The empty buffer takes the 8 bytes without writing through, so
+	// this cannot fail; a write error surfaces at the first flush.
+	_, _ = bw.WriteString(magic)
+	return &Writer{w: bw}
 }
 
 func (w *Writer) writeUvarint(v uint64) error {
@@ -66,12 +71,6 @@ func (w *Writer) writeUvarint(v uint64) error {
 
 // Write appends one record.
 func (w *Writer) Write(rec Record) error {
-	if !w.started {
-		if _, err := w.w.WriteString(magic); err != nil {
-			return err
-		}
-		w.started = true
-	}
 	flags := uint64(rec.Kind) & 0x3
 	if rec.Interrupted {
 		flags |= 0x4
@@ -97,36 +96,43 @@ func (w *Writer) Count() uint64 { return w.count }
 
 // Flush drains buffered output; call it before closing the destination.
 func (w *Writer) Flush() error {
-	if !w.started {
-		// An empty trace still carries the header so readers can
-		// distinguish "empty" from "not a trace".
-		if _, err := w.w.WriteString(magic); err != nil {
-			return err
-		}
-		w.started = true
-	}
 	return w.w.Flush()
 }
 
 // Reader deserializes records.
 type Reader struct {
-	r       *bufio.Reader
+	r       byteCounter
 	started bool
+}
+
+// byteCounter counts the bytes each varint takes, so Read can refuse
+// the non-minimal encodings binary.ReadUvarint accepts.
+type byteCounter struct {
+	*bufio.Reader
+	n int
+}
+
+func (c *byteCounter) ReadByte() (byte, error) {
+	c.n++
+	return c.Reader.ReadByte()
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: byteCounter{Reader: bufio.NewReader(r)}}
 }
 
 // ErrBadMagic reports a stream that is not a trace file.
 var ErrBadMagic = errors.New("tracefile: bad magic (not an OS-entry trace)")
 
-// Read returns the next record, or io.EOF at a clean end of stream.
+// Read returns the next record, or io.EOF at a clean end of stream. It
+// accepts only records Writer can write: kind syscall (1) or trap (2),
+// no flag bit above 0x7, every varint minimally encoded, and argClass,
+// instrs and userGap within a non-negative int.
 func (r *Reader) Read() (Record, error) {
 	if !r.started {
 		head := make([]byte, len(magic))
-		if _, err := io.ReadFull(r.r, head); err != nil {
+		if _, err := io.ReadFull(&r.r, head); err != nil {
 			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 				return Record{}, ErrBadMagic
 			}
@@ -137,37 +143,42 @@ func (r *Reader) Read() (Record, error) {
 		}
 		r.started = true
 	}
-	flags, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, err
-	}
-	var vals [5]uint64
-	for i := range vals {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
+	var v [6]uint64 // flags, sys, argClass, astate, instrs, userGap
+	var enc [binary.MaxVarintLen64]byte
+	for i := range v {
+		var err error
+		r.r.n = 0
+		if v[i], err = binary.ReadUvarint(&r.r); err != nil {
+			if i == 0 && errors.Is(err, io.EOF) {
+				return Record{}, io.EOF
+			}
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return Record{}, fmt.Errorf("tracefile: truncated record: %w", err)
 		}
-		vals[i] = v
+		if r.r.n != binary.PutUvarint(enc[:], v[i]) {
+			return Record{}, errors.New("tracefile: non-minimal varint")
+		}
 	}
-	rec := Record{
-		Kind:        trace.SegmentKind(flags & 0x3),
-		Interrupted: flags&0x4 != 0,
-		Sys:         syscalls.ID(vals[0]),
-		ArgClass:    int(vals[1]),
-		AState:      vals[2],
-		Instrs:      int(vals[3]),
-		UserGap:     int(vals[4]),
+	kind := trace.SegmentKind(v[0] & 0x3)
+	switch {
+	case v[0] > 0x7 || kind != trace.SyscallSegment && kind != trace.TrapSegment:
+		return Record{}, fmt.Errorf("tracefile: record flags %#x: want kind 1 or 2 and no bit above 0x7", v[0])
+	case v[1] >= uint64(syscalls.NumIDs):
+		return Record{}, fmt.Errorf("tracefile: record with invalid syscall id %d", v[1])
+	case v[2] > math.MaxInt || v[4] > math.MaxInt || v[5] > math.MaxInt:
+		return Record{}, fmt.Errorf("tracefile: record argClass %d, instrs %d or userGap %d overflows int", v[2], v[4], v[5])
 	}
-	if int(rec.Sys) < 0 || int(rec.Sys) >= syscalls.NumIDs {
-		return Record{}, fmt.Errorf("tracefile: record with invalid syscall id %d", rec.Sys)
-	}
-	return rec, nil
+	return Record{
+		Kind:        kind,
+		Interrupted: v[0]&0x4 != 0,
+		Sys:         syscalls.ID(v[1]),
+		ArgClass:    int(v[2]),
+		AState:      v[3],
+		Instrs:      int(v[4]),
+		UserGap:     int(v[5]),
+	}, nil
 }
 
 // ReadAll drains the stream into a slice.

@@ -106,14 +106,18 @@ func TestInvalidSyscallRejected(t *testing.T) {
 	}
 }
 
-func captureApache(t *testing.T, instrs uint64) *bytes.Buffer {
-	t.Helper()
+// apacheSource is the apache workload generator the captures record.
+func apacheSource() trace.Source {
 	space := &trace.AddressSpace{}
 	src := rng.New(71)
 	kernel := trace.NewKernelLayout(space, src.Fork())
-	gen := trace.MustNewGenerator(workloads.Apache(), 0, kernel, space, src.Fork())
+	return trace.MustNewGenerator(workloads.Apache(), 0, kernel, space, src.Fork())
+}
+
+func captureApache(t *testing.T, instrs uint64) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
-	n, err := Capture(gen, instrs, &buf)
+	n, err := Capture(apacheSource(), instrs, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,9 +223,15 @@ func WriteSeriesCSV(w io.Writer, series []TraceIntervalPoint) error {
 }
 
 // SeriesFileName is the canonical per-point file name for a sweep's
-// interval time-series CSVs.
-func SeriesFileName(workload, policy string, threshold, oneWay int) string {
-	return telemetry.SeriesFileName(workload, policy, threshold, oneWay)
+// interval time-series CSVs. A sweep with an os_cores column passes the
+// point's OS-core count, which the name then ends with; osCores 0
+// leaves it out.
+func SeriesFileName(workload, policy string, threshold, oneWay, osCores int) string {
+	name := fmt.Sprintf("%s_%s_n%d_lat%d", workload, policy, threshold, oneWay)
+	if osCores > 0 {
+		name += fmt.Sprintf("_k%d", osCores)
+	}
+	return name + ".csv"
 }
 
 // SweepRequest is the wire form of offsimd's POST /v1/sweeps: a
