@@ -106,9 +106,10 @@ bench-engine:
 # Fleet acceptance gate, part of `make ci`: the in-process 3-replica
 # tests (routing lands on the ring owner, peer cache hit instead of a
 # cross-replica recompute, stealing under induced overload, a 64-point
-# sweep streamed exactly once) plus the out-of-process run — three real
-# offsimd processes driven by the loadtest under -p95-max/-hit-min SLO
-# gates (docs/CLUSTER.md).
+# sweep streamed exactly once, also with every third peer execute
+# refused, 503'd, 429'd, dropped or delayed) plus the out-of-process
+# run — three real offsimd processes driven by the loadtest under
+# -p95-max/-hit-min SLO gates (docs/CLUSTER.md).
 cluster-e2e:
 	$(GO) test -run '^TestFleet' -count=1 -v ./internal/server/ ./cmd/offsimd/
 

@@ -45,12 +45,9 @@ type Row struct {
 // flags its grid points add, and the output options. parseArgs builds
 // every config the plan runs before the first simulation starts.
 type plan struct {
-	req cluster.SweepRequest // -workers is its Concurrency
-	osc offloadsim.Spec      // the OS-core flags applied at every K
-	// sampledParallel runs each sampled point's detailed intervals on
-	// the parallel engine (-sampled -parallel).
-	sampledParallel bool
-	points          int // grid points, the -os-cores axis included
+	req    cluster.SweepRequest // -workers is its Concurrency
+	osc    offloadsim.Spec      // the OS-core flags applied at every K
+	points int                  // grid points, the -os-cores axis included
 	// withOSCores adds the os_cores column: set when the -os-cores axis
 	// departs from the classic model, so legacy output stays unchanged.
 	withOSCores   bool
@@ -84,7 +81,6 @@ func parseArgs(args []string) (*plan, error) {
 	fs.BoolVar(&pl.energy, "energy", false, "include energy/EDP columns (default power model)")
 	sampled := fs.Bool("sampled", false, "run every point in interval-sampling mode (default schedule; see docs/SAMPLING.md)")
 	fs.IntVar(&req.Replicas, "replicas", 1, "independent sampled replicas merged per point (requires -sampled)")
-	parEngine := fs.Bool("parallel", false, "run every point on the quantum-parallel detailed engine (docs/PARALLEL.md)")
 	fs.IntVar(&req.Concurrency, "workers", runtime.GOMAXPROCS(0), "simulations in flight at once, baselines included (results are order- and count-independent)")
 	fs.StringVar(&pl.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
 	fs.StringVar(&pl.memProfile, "memprofile", "", "write an end-of-sweep heap profile to this file (pprof format)")
@@ -123,13 +119,9 @@ func parseArgs(args []string) (*plan, error) {
 		return nil, err
 	}
 	req.Workloads, req.Policies = splitList(*workloads), splitList(*policies)
-	switch {
-	case *sampled:
+	if *sampled {
 		req.Mode = "sampled"
-	case *parEngine:
-		req.Mode = "parallel"
 	}
-	pl.sampledParallel = *sampled && *parEngine
 	req, grid, err := req.Expand()
 	if err != nil {
 		// The fleet's errors carry the "sweep: " prefix main adds.
@@ -164,20 +156,7 @@ func (pl *plan) config(p cluster.Point) (offloadsim.Config, error) {
 		spec.Affinity, spec.Asymmetry = pl.osc.Affinity, pl.osc.Asymmetry
 		spec.Async, spec.DepthN, spec.Rebalance = pl.osc.Async, pl.osc.DepthN, pl.osc.Rebalance
 	}
-	if pl.req.Mode == "parallel" {
-		// Host parallelism lives in the sweep's concurrency; each point
-		// stays single-goroutine so -workers alone bounds the load.
-		spec.Workers = 1
-	}
-	cfg, err := spec.Config()
-	if err != nil || !pl.sampledParallel {
-		return cfg, err
-	}
-	// The wire's mode names one engine, so -sampled -parallel is the one
-	// pairing a Spec cannot express.
-	cfg.Parallel = offloadsim.DefaultParallel()
-	cfg.Parallel.Workers = 1
-	return cfg, cfg.Validate()
+	return spec.Config()
 }
 
 // run simulates point p. Under -telemetry-dir a grid point also writes

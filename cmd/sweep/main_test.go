@@ -39,8 +39,6 @@ func TestFlagConfigKeysPinned(t *testing.T) {
 		{"-os-cores 1 -rebalance", "27982696dd43275ec4f105c744412c45929df39f4ecafe88c6ad92af1dfafde8"},
 		{"-os-cores 1 -affinity file=0", "27982696dd43275ec4f105c744412c45929df39f4ecafe88c6ad92af1dfafde8"},
 		{"-sampled -replicas 2", "977edebd9481f50a0768d798c816dafd17dbf5e660eaa48db97e80e6d88b48fe"},
-		{"-parallel -workers 2", "69798f436f383cbd2baf0632a97c3c9cc6fdf3a48a3c2e52aec5c7c44ba8c18f"},
-		{"-sampled -parallel", "fcca53ee2ba71a0af0c649d5e05ecff0ae47324b11de6a416ed04874b7ecc317"},
 		{"-n 100,1000", "bcc8ffd0e4da2e8fdeaad520af23116f9b9d6472ebf93aadeaad69aca4af1d53"},
 	}
 	for _, tc := range cases {
@@ -170,7 +168,7 @@ func TestFlagErrorsBeforeSimulation(t *testing.T) {
 		"-sampled -replicas 65":                  "replicas 65 outside [0, 64]",
 		"-sampled -telemetry-dir d":              "-telemetry-dir requires cycle-accurate execution",
 		"-telemetry-dir d -telemetry-interval 0": "-telemetry-interval must be positive",
-		"-parallel -os-cores 2":                  "Parallel cannot be combined with OSCores",
+		"-parallel -os-cores 2":                  "flag provided but not defined: -parallel",
 		// 65 thresholds × 64 latencies, before the -os-cores axis.
 		"-n " + strings.Repeat("1,", 65) + " -latencies " + strings.Repeat("1,", 64): "exceeds 4096 points",
 	} {

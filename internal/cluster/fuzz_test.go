@@ -12,8 +12,9 @@ import (
 // POST /v1/sweeps uses, then through Expand. Nothing may panic,
 // and an accepted grid must stay within maxSweepPoints and
 // sim.MaxReplicas, so expanding and running it is safe. No body reaches
-// the OS-core axis, so every point has K 0. The seed corpus is
-// committed under testdata/fuzz.
+// the OS-core axis, so every point has K 0, and none the parallel
+// engine, so the mode is detailed or sampled (seed-3 is a refused
+// parallel body). The seed corpus is committed under testdata/fuzz.
 func FuzzSweepRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
@@ -37,6 +38,11 @@ func FuzzSweepRequest(f *testing.F) {
 			if p.OSCores != 0 {
 				t.Fatalf("wire point %d has K %d; the wire has no K axis: %s", p.Index, p.OSCores, body)
 			}
+		}
+		switch r.Mode {
+		case "", "detailed", "sampled":
+		default:
+			t.Fatalf("accepted mode %q: %s", r.Mode, body)
 		}
 		if r.Replicas > sim.MaxReplicas {
 			t.Fatalf("accepted %d replicas per point (cap %d): %s", r.Replicas, sim.MaxReplicas, body)

@@ -14,7 +14,9 @@ import (
 // the coordinator decomposes into canonical-keyed jobs and fans across
 // the fleet. cmd/sweep builds one from its grid flags and runs it
 // through an in-process Coordinator, so the streamed rows equal the
-// offline tool's output for the same grid byte for byte.
+// offline tool's output for the same grid byte for byte. Every point
+// runs on the serial detailed engine or the sampled one, as a job spec
+// does.
 type SweepRequest struct {
 	Workloads  []string `json:"workloads"`
 	Policies   []string `json:"policies,omitempty"`   // default ["HI"]
@@ -25,8 +27,8 @@ type SweepRequest struct {
 	WarmupInstrs  *uint64 `json:"warmup_instrs,omitempty"`
 	MeasureInstrs *uint64 `json:"measure_instrs,omitempty"`
 	Seed          *uint64 `json:"seed,omitempty"`
-	// Mode selects the execution engine per point: "" / "detailed",
-	// "sampled", or "parallel" (same vocabulary as job specs).
+	// Mode selects the execution engine per point: "" / "detailed" or
+	// "sampled" (same vocabulary as job specs).
 	Mode string `json:"mode,omitempty"`
 	// Replicas merges that many sampled replicas per point (requires
 	// mode "sampled").
@@ -105,9 +107,9 @@ func (r SweepRequest) withDefaults() (SweepRequest, error) {
 		r.Seed = &s
 	}
 	switch r.Mode {
-	case "", "detailed", "sampled", "parallel":
+	case "", "detailed", "sampled":
 	default:
-		return r, fmt.Errorf("sweep: unknown mode %q (detailed, sampled, parallel)", r.Mode)
+		return r, fmt.Errorf("sweep: unknown mode %q (detailed, sampled)", r.Mode)
 	}
 	if r.Replicas < 0 || r.Replicas > sim.MaxReplicas {
 		return r, fmt.Errorf("sweep: replicas %d outside [0, %d]", r.Replicas, sim.MaxReplicas)

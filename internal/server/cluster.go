@@ -252,10 +252,7 @@ func (s *Server) handlePeerLoad(w http.ResponseWriter, _ *http.Request) {
 // internal, so it is never forwarded or re-stolen (no routing loops).
 func (s *Server) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 	var spec sim.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed job spec: " + err.Error()})
+	if _, ok := decodeBody(w, r, "job spec", &spec); !ok {
 		return
 	}
 	// The caller's traceparent (steal_push or sweep fan-out span) stitches

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -411,13 +412,11 @@ func runSweep(t *testing.T, rep *fleetReplica, body []byte) (string, []string, s
 	return id, lines[1 : len(lines)-1], prog
 }
 
-// TestFleetSweepExactlyOnce drives the acceptance scenario: a 64-point
-// sweep POSTed to one replica of a 3-replica fleet is computed exactly
-// once fleet-wide, streams every point in index order, and its point
-// lines are byte-identical to the same sweep on a single replica.
-func TestFleetSweepExactlyOnce(t *testing.T) {
-	fl := newFleet(t, 3, nil)
-	id, lines, prog := runSweep(t, fl.reps[0], sweepBody())
+// checkSweepDone fails t unless sweepBody's stream emitted every index
+// exactly once, in order, with status done, and its trailer reports the
+// sweep complete.
+func checkSweepDone(t *testing.T, lines []string, prog sweepProgress) {
+	t.Helper()
 	if len(lines) != 64 {
 		t.Fatalf("streamed %d point lines, want 64", len(lines))
 	}
@@ -440,20 +439,37 @@ func TestFleetSweepExactlyOnce(t *testing.T) {
 	if !prog.Complete || prog.Done != 64 || prog.Failed != 0 {
 		t.Fatalf("trailer progress = %+v, want 64 done / complete", prog)
 	}
+}
+
+// executes sums the simulations the fleet's replicas ran.
+func (f *fleet) executes() int64 {
+	var total int64
+	for _, rep := range f.reps {
+		total += rep.executes.Load()
+	}
+	return total
+}
+
+// TestFleetSweepExactlyOnce drives the acceptance scenario: a 64-point
+// sweep POSTed to one replica of a 3-replica fleet is computed exactly
+// once fleet-wide, streams every point in index order, and its point
+// lines are byte-identical to the same sweep on a single replica.
+func TestFleetSweepExactlyOnce(t *testing.T) {
+	fl := newFleet(t, 3, nil)
+	id, lines, prog := runSweep(t, fl.reps[0], sweepBody())
+	checkSweepDone(t, lines, prog)
 
 	// Exactly once fleet-wide: per-replica execute counts sum to the
 	// grid size, and more than one replica did the computing.
-	var total int64
 	busy := 0
 	for i, rep := range fl.reps {
 		n := rep.executes.Load()
 		t.Logf("replica %d executed %d points", i, n)
-		total += n
 		if n > 0 {
 			busy++
 		}
 	}
-	if total != 64 {
+	if total := fl.executes(); total != 64 {
 		t.Fatalf("fleet executed %d simulations for a 64-point sweep, want exactly 64", total)
 	}
 	if busy < 2 {
@@ -503,11 +519,7 @@ func TestFleetSweepExactlyOnce(t *testing.T) {
 	if pe.StatusCode != http.StatusOK {
 		t.Fatalf("peer execute: HTTP %d: %s", pe.StatusCode, peRes)
 	}
-	var after int64
-	for _, rep := range fl.reps {
-		after += rep.executes.Load()
-	}
-	if after != 64 {
+	if after := fl.executes(); after != 64 {
 		t.Fatalf("recompute attempt simulated: fleet total went from 64 to %d", after)
 	}
 	var peerHits float64
@@ -530,6 +542,98 @@ func TestFleetSweepExactlyOnce(t *testing.T) {
 			t.Fatalf("point line %d differs between 3-replica and 1-replica sweeps:\n%s\nvs\n%s",
 				i, lines[i], soloLines[i])
 		}
+	}
+}
+
+// faultyTransport injects one kind of fault into every third
+// POST /v1/peer/execute call and passes every other request through.
+type faultyTransport struct {
+	fault  func(*http.Request) (*http.Response, error)
+	calls  atomic.Int64
+	faults atomic.Int64
+}
+
+func (f *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/v1/peer/execute" || f.calls.Add(1)%3 != 0 {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	f.faults.Add(1)
+	return f.fault(req)
+}
+
+// synthesized answers req with status and a JSON error body, without
+// sending it.
+func synthesized(req *http.Request, status int) (*http.Response, error) {
+	req.Body.Close()
+	return &http.Response{
+		StatusCode: status,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader(`{"error":"injected fault"}`)),
+		Request:    req,
+	}, nil
+}
+
+// TestFleetSweepUnderPeerFaults: the coordinating replica's peer calls
+// fail in five ways, one per subtest, on every third sweep fan-out. A
+// refused, 5xx'd or dropped call falls back to local execution, whose
+// peer-cache check finds a result the owner did compute, and a 429 is
+// retried; so every point still streams exactly once, in order, with
+// the bytes of a fault-free run, and the fleet simulates each point
+// exactly once.
+func TestFleetSweepUnderPeerFaults(t *testing.T) {
+	_, want, _ := runSweep(t, newFleet(t, 3, nil).reps[0], sweepBody())
+	for _, tc := range []struct {
+		name  string
+		fault func(*http.Request) (*http.Response, error)
+	}{
+		{"refuse", func(req *http.Request) (*http.Response, error) {
+			req.Body.Close()
+			return nil, errors.New("injected fault: connection refused")
+		}},
+		{"503", func(req *http.Request) (*http.Response, error) {
+			return synthesized(req, http.StatusServiceUnavailable)
+		}},
+		{"429", func(req *http.Request) (*http.Response, error) {
+			return synthesized(req, http.StatusTooManyRequests)
+		}},
+		{"drop-response", func(req *http.Request) (*http.Response, error) {
+			if resp, err := http.DefaultTransport.RoundTrip(req); err == nil {
+				resp.Body.Close()
+			}
+			return nil, errors.New("injected fault: response dropped")
+		}},
+		{"delay", func(req *http.Request) (*http.Response, error) {
+			select {
+			case <-time.After(100 * time.Millisecond):
+			case <-req.Context().Done():
+				req.Body.Close()
+				return nil, req.Context().Err()
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ft := &faultyTransport{fault: tc.fault}
+			fl := newFleet(t, 3, func(i int, o *Options) {
+				if i == 0 {
+					o.Cluster.HTTPClient = &http.Client{Transport: ft}
+				}
+			})
+			_, lines, prog := runSweep(t, fl.reps[0], sweepBody())
+			t.Logf("%d of %d peer executes faulted", ft.faults.Load(), ft.calls.Load())
+			if ft.faults.Load() == 0 {
+				t.Fatal("no fault was injected; the sweep made fewer than 3 peer executes")
+			}
+			checkSweepDone(t, lines, prog)
+			for i := range lines {
+				if lines[i] != want[i] {
+					t.Fatalf("point line %d differs from the fault-free run:\n%s\nvs\n%s", i, lines[i], want[i])
+				}
+			}
+			if total := fl.executes(); total != 64 {
+				t.Fatalf("fleet executed %d simulations for a 64-point sweep, want exactly 64", total)
+			}
+		})
 	}
 }
 

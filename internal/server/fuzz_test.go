@@ -15,8 +15,9 @@ import (
 // through admission (JobSpec.Config). Nothing may panic, and an admitted
 // spec must canonicalize to a cache key with every allocation size the
 // body controls (OS-core slots and L1s, replicas, cores) inside its
-// admission bound. The seed corpus, valid and
-// invalid bodies of every mode, is committed under testdata/fuzz.
+// admission bound. No admitted spec runs the parallel engine. The seed
+// corpus, valid and invalid bodies of every mode (seed-3 is a refused
+// parallel body), is committed under testdata/fuzz.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec JobSpec
@@ -28,6 +29,9 @@ func FuzzJobSpec(f *testing.F) {
 		cfg, err := spec.Config()
 		if err != nil {
 			return
+		}
+		if cfg.Parallel.Enabled {
+			t.Fatalf("admitted spec %s enables the parallel engine", body)
 		}
 		cc, err := sim.Canonicalize(cfg)
 		if err != nil {

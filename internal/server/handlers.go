@@ -43,6 +43,8 @@ import (
 //	                            (?format=chrome|json|jsonl, default chrome)
 //	GET  /v1/debug/ring         ring membership and key ownership counts
 //	GET  /v1/debug/cache        result-cache contents and tier statistics
+//
+// Every POST route answers 413 to a body over maxBodyBytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -76,17 +78,41 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "reading job spec: " + err.Error()})
-		return
+// maxBodyBytes caps the body of every POST route. A sweep request at
+// the 4096-point cap needs under 100 KB, so the cap refuses no
+// legitimate body; without it one request could make the daemon buffer
+// any amount, and a 400 quotes a bad workload name back in full.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads r's body, at most maxBodyBytes of it, and decodes it
+// into v, refusing unknown fields. what names the body in error
+// messages. On failure it answers 413 (body over the cap) or 400 itself
+// and returns false; on success it also returns the raw body.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			apiError{Error: fmt.Sprintf("%s exceeds %d bytes", what, maxBodyBytes)})
+		return nil, false
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "reading " + what + ": " + err.Error()})
+		return nil, false
 	}
-	var spec sim.Spec
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed job spec: " + err.Error()})
+	if err := dec.Decode(v); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed " + what + ": " + err.Error()})
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec sim.Spec
+	body, ok := decodeBody(w, r, "job spec", &spec)
+	if !ok {
 		return
 	}
 	// The canonical key is needed twice — ring routing and trace-ID

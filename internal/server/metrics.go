@@ -26,7 +26,6 @@ type Metrics struct {
 
 	JobsSampled  atomic.Uint64 // simulations executed in interval-sampled mode
 	JobsDetailed atomic.Uint64 // simulations executed fully detailed
-	JobsParallel atomic.Uint64 // simulations executed on the parallel engine
 	JobsTraced   atomic.Uint64 // simulations executed with telemetry capture
 
 	// Fleet coordination (docs/CLUSTER.md).
@@ -40,7 +39,6 @@ type Metrics struct {
 
 	QueueDepth    atomic.Int64 // jobs sitting in the bounded queue
 	JobsRunning   atomic.Int64 // jobs currently being simulated
-	ReservedSlots atomic.Int64 // extra pool slots held by running parallel jobs
 	RingOwnedKeys atomic.Int64 // cached results whose key this replica owns per the ring (refreshed at scrape)
 
 	// SLO burn counters (docs/OBSERVABILITY.md). The latency pair splits
@@ -186,7 +184,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("offsimd_cache_misses_total", "Submissions not present in the result cache.", m.CacheMisses.Load())
 	counter("offsimd_jobs_sampled_total", "Simulations executed in interval-sampled mode.", m.JobsSampled.Load())
 	counter("offsimd_jobs_detailed_total", "Simulations executed fully detailed.", m.JobsDetailed.Load())
-	counter("offsimd_jobs_parallel_total", "Simulations executed on the parallel engine.", m.JobsParallel.Load())
 	counter("offsimd_jobs_traced_total", "Simulations executed with telemetry capture.", m.JobsTraced.Load())
 	counter("offsimd_peer_cache_hits_total", "Jobs finished from a peer's cache tier instead of simulating.", m.PeerCacheHits.Load())
 	counter("offsimd_peer_cache_misses_total", "Peer cache probes that found nothing.", m.PeerCacheMisses.Load())
@@ -197,7 +194,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("offsimd_sweep_points_total", "Grid points accepted across all sweeps.", m.SweepPoints.Load())
 	gauge("offsimd_queue_depth_jobs", "Jobs waiting in the bounded queue.", m.QueueDepth.Load())
 	gauge("offsimd_jobs_running", "Jobs currently being simulated.", m.JobsRunning.Load())
-	gauge("offsimd_reserved_worker_slots", "Extra worker-pool slots held by running parallel jobs.", m.ReservedSlots.Load())
 	gauge("offsimd_ring_owned_keys", "Cached results whose key this replica owns per the hash ring.", m.RingOwnedKeys.Load())
 	gauge("offsimd_trace_store_traces", "Service traces resident in the in-memory store.", m.TraceStoreTraces.Load())
 	gauge("offsimd_trace_store_spans", "Service spans resident across all stored traces.", m.TraceStoreSpans.Load())

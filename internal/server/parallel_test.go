@@ -3,171 +3,71 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"offloadsim/internal/sim"
 )
 
-// parallelSpec is a small parallel-mode job: a few simulated cores so
-// the engine actually partitions work.
-func parallelSpec(seed uint64) JobSpec {
-	spec := smallSpec(seed)
-	warm := uint64(20_000)
-	meas := uint64(100_000)
-	spec.WarmupInstrs = &warm
-	spec.MeasureInstrs = &meas
-	spec.Cores = 4
-	spec.Mode = "parallel"
-	return spec
-}
-
+// TestParallelModeSpec: no front end runs the quantum-parallel engine.
+// The spec refuses mode parallel and names the modes it has, and a body
+// that names the engine's old workers field, even at 0, fails the
+// strict decoder every job route uses.
 func TestParallelModeSpec(t *testing.T) {
-	cfg, err := parallelSpec(1).Config()
-	if err != nil {
-		t.Fatal(err)
+	spec := smallSpec(1)
+	spec.Mode = "parallel"
+	spec.Cores = 4
+	_, err := spec.Config()
+	if want := `unknown mode "parallel" (detailed, sampled)`; err == nil || err.Error() != want {
+		t.Errorf("mode parallel: error %v, want %q", err, want)
 	}
-	if !cfg.Parallel.Enabled {
-		t.Fatal("mode parallel did not enable the parallel engine")
-	}
-	if cfg.Parallel.Quantum != sim.DefaultParallel().Quantum {
-		t.Errorf("quantum %d, want default %d", cfg.Parallel.Quantum, sim.DefaultParallel().Quantum)
-	}
-
-	// Parallel and serial-detailed versions of the same spec never share
-	// a key, but two parallel specs differing only in Workers always do.
-	det := parallelSpec(1)
-	det.Mode = "detailed"
-	detCfg, err := det.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := sim.CanonicalKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dk, err := sim.CanonicalKey(detCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pk == dk {
-		t.Fatal("parallel and detailed specs share a cache key")
-	}
-	wk := parallelSpec(1)
-	wk.Workers = 7
-	wkCfg, err := wk.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k7, err := sim.CanonicalKey(wkCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k7 != pk {
-		t.Fatal("workers changed the cache key")
-	}
-
-	bad := parallelSpec(1)
-	bad.Workers = -1
-	if _, err := bad.Config(); err == nil {
-		t.Error("negative workers accepted")
-	}
-	badReps := parallelSpec(1)
-	badReps.Replicas = 2
-	if _, err := badReps.Config(); err == nil {
-		t.Error("replicas with parallel mode accepted")
-	}
-	badWk := smallSpec(1)
-	badWk.Workers = 2
-	if _, err := badWk.Config(); err == nil {
-		t.Error("workers without parallel mode accepted")
-	}
-	badDyn := parallelSpec(1)
-	badDyn.DynamicN = true
-	if _, err := badDyn.Config(); err == nil {
-		t.Error("parallel+dynamic_n accepted")
+	for _, body := range []string{
+		`{"workload":"apache","workers":0}`,
+		`{"workload":"apache","mode":"parallel","workers":2,"cores":8}`,
+	} {
+		var spec JobSpec
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err == nil || !strings.Contains(err.Error(), `unknown field "workers"`) {
+			t.Errorf("%s: decode error %v, want unknown field \"workers\"", body, err)
+		}
 	}
 }
 
-// Acceptance property: identical parallel submissions — at any workers
-// setting — return byte-identical result JSON through the daemon, the
-// mode counter ticks, and slot reservation never leaks.
+// TestParallelModeEndToEnd: every POST route answers a parallel-mode
+// body with a 400 that names the mode, admits nothing, and /metrics
+// carries neither series that parallel jobs used to feed.
 func TestParallelModeEndToEnd(t *testing.T) {
 	srv := New(Options{QueueSize: 8, Workers: 2})
 	srv.Start()
 	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	runJob := func(spec JobSpec) []byte {
-		t.Helper()
-		st, err := srv.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, err = srv.Wait(ctx, st.ID); err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateDone {
-			t.Fatalf("job state %s (err %q)", st.State, st.Error)
-		}
-		body, _, ok := srv.Result(st.ID)
-		if !ok {
-			t.Fatal("result missing")
-		}
-		return body
-	}
-
-	first := runJob(parallelSpec(7))
-	var res sim.Result
-	if err := json.Unmarshal(first, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallel == nil {
-		t.Fatal("parallel job result carries no provenance")
-	}
-	if res.Parallel.Quanta == 0 {
-		t.Fatalf("implausible provenance: %+v", res.Parallel)
-	}
-
-	// Same spec with an explicit oversized workers request: cache key is
-	// identical, so this is a hit and must return the same bytes. Then a
-	// fresh server (cache bypassed) at workers=1 must reproduce them too.
-	over := parallelSpec(7)
-	over.Workers = 16
-	if second := runJob(over); string(first) != string(second) {
-		t.Fatal("workers setting changed the served bytes")
-	}
-	srv2 := New(Options{QueueSize: 8, Workers: 1})
-	srv2.Start()
-	defer srv2.Shutdown(context.Background())
-	one := parallelSpec(7)
-	one.Workers = 1
-	st, err := srv2.Submit(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = srv2.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	rerun, _, _ := srv2.Result(st.ID)
-	if string(first) != string(rerun) {
-		t.Fatal("parallel result not reproducible across server instances and workers")
-	}
-
-	var sb strings.Builder
-	if _, err := srv.Metrics().WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	metrics := sb.String()
-	for _, want := range []string{
-		"offsimd_jobs_parallel_total 1",
-		"offsimd_reserved_worker_slots 0",
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/jobs", `{"workload":"apache","mode":"parallel","cores":4}`},
+		{"/v1/peer/execute", `{"workload":"apache","mode":"parallel","cores":4}`},
+		{"/v1/sweeps", `{"workloads":["apache"],"mode":"parallel"}`},
 	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.route, strings.NewReader(tc.body)))
+		var apiErr apiError
+		_ = json.Unmarshal(rec.Body.Bytes(), &apiErr)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(apiErr.Error, `unknown mode "parallel"`) {
+			t.Errorf("POST %s: HTTP %d %q, want 400 naming mode \"parallel\"", tc.route, rec.Code, apiErr.Error)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	metrics := rec.Body.String()
+	for _, want := range []string{"\noffsimd_jobs_submitted_total 0\n", "\noffsimd_sweeps_total 0\n"} {
 		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q:\n%s", want, metrics)
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	for _, gone := range []string{"offsimd_jobs_parallel_total", "offsimd_reserved_worker_slots"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("removed series %s still exported", gone)
 		}
 	}
 }

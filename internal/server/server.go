@@ -94,8 +94,8 @@ type Server struct {
 	// runSim is swappable for tests; defaults to sim.Run.
 	runSim func(sim.Config) (sim.Result, error)
 
-	// runTraced runs trace jobs: a detailed or parallel simulation with
-	// telemetry attached. Swappable for tests; defaults to sim.RunTraced.
+	// runTraced runs trace jobs: a detailed simulation with telemetry
+	// attached. Swappable for tests; defaults to sim.RunTraced.
 	runTraced func(sim.Config, telemetry.Options) (sim.Result, *telemetry.Capture, error)
 
 	// now is swappable for tests; defaults to time.Now.
@@ -117,10 +117,6 @@ type Server struct {
 	seq      uint64
 	sweepSeq uint64
 	draining bool
-	// reserved counts worker-pool slots held by running parallel jobs
-	// beyond their own worker, so concurrent parallel simulations cannot
-	// oversubscribe the host (see reserveSlots).
-	reserved int
 
 	wg        sync.WaitGroup
 	baseCtx   context.Context
@@ -430,52 +426,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// reserveSlots sizes a parallel job's engine pool against the daemon's
-// worker pool: the job's own worker is one slot, and up to Workers-1
-// additional slots are reserved from whatever the pool has free (never
-// blocking — a busy pool just clamps the job toward Workers=1). The
-// clamp cannot change the job's result, only its wall time: Workers is
-// outside the engine's determinism contract and outside the cache key.
-// Returns the extra slots held; pass to releaseSlots when done.
-func (s *Server) reserveSlots(j *job) int {
-	want := j.cfg.Parallel.Workers
-	if want <= 0 {
-		want = runtime.GOMAXPROCS(0)
-	}
-	if want > j.cfg.UserCores {
-		want = j.cfg.UserCores
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// JobsRunning already counts this job, so its base slot is spoken for.
-	free := s.opts.Workers - int(s.metrics.JobsRunning.Load()) - s.reserved
-	if free < 0 {
-		free = 0
-	}
-	extra := want - 1
-	if extra > free {
-		extra = free
-	}
-	if extra < 0 {
-		extra = 0
-	}
-	s.reserved += extra
-	s.metrics.ReservedSlots.Store(int64(s.reserved))
-	j.cfg.Parallel.Workers = 1 + extra
-	return extra
-}
-
-// releaseSlots returns extra slots taken by reserveSlots to the pool.
-func (s *Server) releaseSlots(extra int) {
-	if extra == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.reserved -= extra
-	s.metrics.ReservedSlots.Store(int64(s.reserved))
-	s.mu.Unlock()
-}
-
 // worker consumes the queue until it is closed and drained.
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -505,13 +455,11 @@ func (s *Server) execute(j *job) {
 		return
 	}
 
-	switch {
-	case j.cfg.Parallel.Enabled:
-		s.metrics.JobsParallel.Add(1)
-		defer s.releaseSlots(s.reserveSlots(j))
-	case j.cfg.Sampling.Enabled:
+	mode := "detailed"
+	if j.cfg.Sampling.Enabled {
+		mode = "sampled"
 		s.metrics.JobsSampled.Add(1)
-	default:
+	} else {
 		s.metrics.JobsDetailed.Add(1)
 	}
 	if j.trace {
@@ -550,13 +498,6 @@ func (s *Server) execute(j *job) {
 	var resBytes []byte
 	var capture *telemetry.Capture
 	var errMsg string
-	mode := "detailed"
-	switch {
-	case j.cfg.Parallel.Enabled:
-		mode = "parallel"
-	case j.cfg.Sampling.Enabled:
-		mode = "sampled"
-	}
 	select {
 	case out := <-ch:
 		if out.err != nil {

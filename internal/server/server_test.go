@@ -532,6 +532,54 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: every POST route answers a body one byte over
+// maxBodyBytes with 413 and the JSON error envelope, admits nothing,
+// and serves a normal body as before. A body at the cap is decoded.
+func TestRequestBodyCap(t *testing.T) {
+	srv := New(Options{QueueSize: 8, Workers: 2})
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	post := func(route, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+		return rec
+	}
+	// pad sizes a body with a workload name so it is n bytes long.
+	pad := func(prefix, suffix string, n int) string {
+		return prefix + strings.Repeat("a", n-len(prefix)-len(suffix)) + suffix
+	}
+	spec, _ := json.Marshal(smallSpec(1))
+	peerSpec, _ := json.Marshal(smallSpec(2))
+	for _, tc := range []struct {
+		route, prefix, suffix, normal string
+		code                          int
+	}{
+		{"/v1/jobs", `{"workload":"`, `"}`, string(spec), http.StatusAccepted},
+		{"/v1/peer/execute", `{"workload":"`, `"}`, string(peerSpec), http.StatusOK},
+		{"/v1/sweeps", `{"workloads":["`, `"]}`,
+			`{"workloads":["apache"],"warmup_instrs":0,"measure_instrs":20000,"normalize":false}`, http.StatusOK},
+	} {
+		before := srv.Metrics().JobsSubmitted.Load()
+		rec := post(tc.route, pad(tc.prefix, tc.suffix, maxBodyBytes+1))
+		var apiErr apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || rec.Code != http.StatusRequestEntityTooLarge ||
+			!strings.Contains(apiErr.Error, "exceeds 1048576 bytes") {
+			t.Errorf("POST %s, %d bytes: HTTP %d %.80q, want 413 with an error envelope",
+				tc.route, maxBodyBytes+1, rec.Code, rec.Body.String())
+		}
+		if rec := post(tc.route, pad(tc.prefix, tc.suffix, maxBodyBytes)); rec.Code == http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s, %d bytes: HTTP 413 for a body at the cap", tc.route, maxBodyBytes)
+		}
+		if got := srv.Metrics().JobsSubmitted.Load(); got != before {
+			t.Errorf("POST %s: a refused body was admitted (%d submitted, want %d)", tc.route, got, before)
+		}
+		if rec := post(tc.route, tc.normal); rec.Code != tc.code {
+			t.Errorf("POST %s, normal body: HTTP %d, want %d: %s", tc.route, rec.Code, tc.code, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestSpecFieldOrderIrrelevant: the same spec serialized with different
 // JSON field orders must map to one canonical key.
 func TestSpecFieldOrderIrrelevant(t *testing.T) {

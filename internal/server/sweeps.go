@@ -199,10 +199,7 @@ func (s *Server) SweepProgress(id string) (cluster.Progress, bool) {
 // the points or in which order they finished.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var req cluster.SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed sweep request: " + err.Error()})
+	if _, ok := decodeBody(w, r, "sweep request", &req); !ok {
 		return
 	}
 	sw, err := s.StartSweep(req)

@@ -35,7 +35,7 @@ func getTrace(t *testing.T, ts *httptest.Server, id, query string) (int, []byte,
 }
 
 // TestTraceSpecValidation pins the spec-level constraints: tracing needs
-// a cycle-accurate engine, and the interval cadence needs tracing.
+// the detailed engine, and the interval cadence needs tracing.
 func TestTraceSpecValidation(t *testing.T) {
 	sampled := traceSpec(1)
 	sampled.Mode = "sampled"
@@ -47,11 +47,12 @@ func TestTraceSpecValidation(t *testing.T) {
 	if _, err := noTrace.Config(); err == nil {
 		t.Error("trace_interval_instrs without trace must be rejected")
 	}
+	// No front end runs the parallel engine, traced or not.
 	par := traceSpec(1)
 	par.Mode = "parallel"
 	par.Cores = 2
-	if _, err := par.Config(); err != nil {
-		t.Errorf("trace with mode parallel: %v", err)
+	if _, err := par.Config(); err == nil {
+		t.Error("trace with mode parallel must be rejected")
 	}
 }
 

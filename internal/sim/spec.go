@@ -15,8 +15,11 @@ import (
 // every front end: it is the offsimd job body (POST /v1/jobs and
 // /v1/peer/execute), the per-point spec of a sweep grid, and what the
 // cmd/offsim and cmd/sweep flags fill in. Config is the only code that
-// turns one into a Config. Zero/omitted fields take the documented
-// defaults; pointer fields distinguish "absent" from an explicit zero.
+// turns one into a Config. It never enables Config.Parallel, so every
+// front end runs the serial detailed engine or the sampled one; the
+// quantum-parallel engine is library-only (docs/PARALLEL.md).
+// Zero/omitted fields take the documented defaults; pointer fields
+// distinguish "absent" from an explicit zero.
 type Spec struct {
 	// Workload is a profile name (required): apache, specjbb, derby, ...
 	Workload string `json:"workload"`
@@ -69,25 +72,18 @@ type Spec struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Mode selects the execution engine: "detailed" (default) simulates
 	// every instruction; "sampled" runs interval sampling with
-	// functional warming at the default schedule (docs/SAMPLING.md);
-	// "parallel" runs detailed execution on the quantum-synchronized
-	// parallel engine (docs/PARALLEL.md). No two modes of the same spec
-	// share a cache key.
+	// functional warming at the default schedule (docs/SAMPLING.md).
+	// The two modes of one spec never share a cache key.
 	Mode string `json:"mode,omitempty"`
 	// Replicas merges that many independent sampled replicas (requires
 	// mode "sampled"; default 1).
 	Replicas int `json:"replicas,omitempty"`
-	// Workers sizes the parallel engine's host-goroutine pool (requires
-	// mode "parallel"; 0 lets the server clamp to its free worker
-	// slots). Workers never affects results — only wall time — and is
-	// not part of the cache key.
-	Workers int `json:"workers,omitempty"`
 	// Trace captures a telemetry event trace alongside the result
 	// (docs/TELEMETRY.md), retrievable from GET /v1/traces/{id}. Requires
-	// mode detailed or parallel. Tracing never changes the result — the
-	// job still populates the shared cache — but a trace job always runs
-	// its own simulation (no cache hit, no coalescing), because a cached
-	// result document carries no event timeline.
+	// mode detailed. Tracing never changes the result — the job still
+	// populates the shared cache — but a trace job always runs its own
+	// simulation (no cache hit, no coalescing), because a cached result
+	// document carries no event timeline.
 	Trace bool `json:"trace,omitempty"`
 	// TraceIntervalInstrs additionally samples the interval time-series
 	// every that many retired instructions (requires trace).
@@ -201,9 +197,6 @@ func (s Spec) Config() (Config, error) {
 		if s.Replicas > 1 {
 			return Config{}, fmt.Errorf("replicas %d requires mode \"sampled\"", s.Replicas)
 		}
-		if s.Workers != 0 {
-			return Config{}, fmt.Errorf("workers requires mode \"parallel\"")
-		}
 	case "sampled":
 		cfg.Sampling = DefaultSampling()
 		if s.Replicas < 0 {
@@ -212,24 +205,11 @@ func (s Spec) Config() (Config, error) {
 		if s.Replicas > 0 {
 			cfg.Sampling.Replicas = s.Replicas
 		}
-		if s.Workers != 0 {
-			return Config{}, fmt.Errorf("workers requires mode \"parallel\"")
-		}
-	case "parallel":
-		if s.Replicas > 1 {
-			return Config{}, fmt.Errorf("replicas %d requires mode \"sampled\"", s.Replicas)
-		}
-		if s.Workers < 0 {
-			return Config{}, fmt.Errorf("negative workers %d", s.Workers)
-		}
-		cfg.Parallel = DefaultParallel()
-		cfg.Parallel.Workers = s.Workers
 	default:
-		return Config{}, fmt.Errorf("unknown mode %q (detailed, sampled, parallel)", s.Mode)
+		return Config{}, fmt.Errorf("unknown mode %q (detailed, sampled)", s.Mode)
 	}
 	if s.Trace && cfg.Sampling.Enabled {
-		return Config{}, fmt.Errorf("trace requires mode \"detailed\" or \"parallel\" " +
-			"(sampled mode has no cycle-accurate timeline)")
+		return Config{}, fmt.Errorf("trace requires mode \"detailed\" (sampled mode has no cycle-accurate timeline)")
 	}
 	if s.TraceIntervalInstrs > 0 && !s.Trace {
 		return Config{}, fmt.Errorf("trace_interval_instrs requires trace")
