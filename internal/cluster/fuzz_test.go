@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"testing"
 
+	"offloadsim/internal/policy"
 	"offloadsim/internal/sim"
+	"offloadsim/internal/workloads"
 )
 
 // FuzzSweepRequest feeds arbitrary request bodies through the decoder
 // POST /v1/sweeps uses, then through Expand. Nothing may panic,
 // and an accepted grid must stay within maxSweepPoints and
-// sim.MaxReplicas, so expanding and running it is safe. No body reaches
+// sim.MaxReplicas and name only workloads and policies that resolve,
+// so expanding and running it is safe. No body reaches
 // the OS-core axis, so every point has K 0, and none the parallel
 // engine, so the mode is detailed or sampled (seed-3 is a refused
 // parallel body). The seed corpus is committed under testdata/fuzz.
@@ -46,6 +49,16 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if r.Replicas > sim.MaxReplicas {
 			t.Fatalf("accepted %d replicas per point (cap %d): %s", r.Replicas, sim.MaxReplicas, body)
+		}
+		for _, wl := range r.Workloads {
+			if _, ok := workloads.ByName(wl); !ok {
+				t.Fatalf("accepted unknown workload %q: %s", wl, body)
+			}
+		}
+		for _, pol := range r.Policies {
+			if _, ok := policy.Parse(pol); !ok {
+				t.Fatalf("accepted unknown policy %q: %s", pol, body)
+			}
 		}
 	})
 }

@@ -23,20 +23,19 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the ring's default virtual-node count per member.
+// DefaultVNodes is the ring's virtual-node count per member.
 // 128 vnodes keep the max/min owned-key ratio under ~2 up to 16
 // replicas (see TestRingBalance) while membership changes stay cheap.
 const DefaultVNodes = 128
 
 // Ring is a consistent-hash ring mapping canonical config keys to
 // replica addresses. Ownership is a pure function of the sorted member
-// list and the vnode count: two processes given the same membership
-// build bit-identical rings, so routing never depends on process
-// history (determinism across restarts), and a single join or leave
-// moves only the keys adjacent to the changed member's vnodes (bounded
-// movement, ~K/n of K keys for n members).
+// list: two processes given the same membership build bit-identical
+// rings, so routing never depends on process history (determinism
+// across restarts), and a single join or leave moves only the keys
+// adjacent to the changed member's vnodes (bounded movement, ~K/n of K
+// keys for n members).
 type Ring struct {
-	vnodes  int
 	members []string // sorted, deduplicated
 	points  []ringPoint
 }
@@ -46,18 +45,12 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds a ring over members with the given vnodes per member
-// (0 means DefaultVNodes). Members are deduplicated and sorted, so any
-// permutation of the same set yields an identical ring.
-func NewRing(members []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring over members with DefaultVNodes per member.
+// Members are deduplicated and sorted, so any permutation of the same
+// set yields an identical ring.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodes == 0 {
-		vnodes = DefaultVNodes
-	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("cluster: vnodes must be >= 1 (got %d)", vnodes)
 	}
 	seen := make(map[string]bool, len(members))
 	sorted := make([]string, 0, len(members))
@@ -73,12 +66,11 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	sort.Strings(sorted)
 
 	r := &Ring{
-		vnodes:  vnodes,
 		members: sorted,
-		points:  make([]ringPoint, 0, len(sorted)*vnodes),
+		points:  make([]ringPoint, 0, len(sorted)*DefaultVNodes),
 	}
 	for _, m := range sorted {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			r.points = append(r.points, ringPoint{
 				hash:   hash64(fmt.Sprintf("%s#%d", m, i)),
 				member: m,
@@ -117,10 +109,6 @@ func (r *Ring) Members() []string {
 
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
-
-// VNodesPerMember returns how many virtual nodes each member
-// contributes to the ring.
-func (r *Ring) VNodesPerMember() int { return r.vnodes }
 
 // hash64 is the first eight bytes of SHA-256: stable across processes,
 // architectures and Go releases (restart-deterministic ownership), and

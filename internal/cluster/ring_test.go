@@ -29,7 +29,7 @@ func members(n int) []string {
 func TestRingBalance(t *testing.T) {
 	keys := testKeys(20_000)
 	for n := 3; n <= 16; n++ {
-		r, err := NewRing(members(n), DefaultVNodes)
+		r, err := NewRing(members(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +64,11 @@ func TestRingBalance(t *testing.T) {
 func TestRingBoundedMovement(t *testing.T) {
 	keys := testKeys(20_000)
 	for n := 3; n <= 12; n++ {
-		small, err := NewRing(members(n), DefaultVNodes)
+		small, err := NewRing(members(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := NewRing(members(n+1), DefaultVNodes) // members(n+1) ⊃ members(n)
+		big, err := NewRing(members(n + 1)) // members(n+1) ⊃ members(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestRingBoundedMovement(t *testing.T) {
 func TestRingDeterminism(t *testing.T) {
 	keys := testKeys(5_000)
 	ms := members(5)
-	r1, err := NewRing(ms, DefaultVNodes)
+	r1, err := NewRing(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRingDeterminism(t *testing.T) {
 		rev = append(rev, ms[i])
 	}
 	rev = append(rev, ms[0])
-	r2, err := NewRing(rev, DefaultVNodes)
+	r2, err := NewRing(rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRingDeterminism(t *testing.T) {
 	for _, k := range keys[:16] {
 		pin[k] = r1.Owner(k)
 	}
-	r3, err := NewRing(ms, DefaultVNodes)
+	r3, err := NewRing(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +146,13 @@ func TestRingDeterminism(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty member accepted")
 	}
-	if _, err := NewRing(members(2), -1); err == nil {
-		t.Error("negative vnodes accepted")
-	}
-	r, err := NewRing(members(1), 0)
+	r, err := NewRing(members(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,9 @@ type Point struct {
 // request with its grid in nesting order: workloads × policies ×
 // thresholds × latencies × OS cores. The fleet's coordinator and
 // cmd/sweep both expand a grid through it, so one grid names the same
-// points offline and on the fleet.
+// points offline and on the fleet, and both refuse a grid with a point
+// whose spec builds no config, such as an unknown workload or policy,
+// before anything runs.
 func (r SweepRequest) Expand() (SweepRequest, []Point, error) {
 	r, err := r.withDefaults()
 	if err != nil {
@@ -172,6 +174,11 @@ func (r SweepRequest) Expand() (SweepRequest, []Point, error) {
 					}
 				}
 			}
+		}
+	}
+	for _, p := range out {
+		if _, err := r.PointSpec(p).Config(); err != nil {
+			return r, nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return r, out, nil

@@ -94,14 +94,14 @@ func TestSweepCoordinatorStreamsInOrder(t *testing.T) {
 
 func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 	c := &Coordinator{RunPoint: func(ctx context.Context, req SweepRequest, p Point) ([]byte, error) {
-		if p.Workload == "bad" && p.Index >= 0 {
+		if p.Workload == "derby" && p.Index >= 0 {
 			return nil, fmt.Errorf("synthetic failure")
 		}
 		return json.Marshal(sim.Result{Workload: p.Workload, Policy: p.Policy, Throughput: 1})
 	}}
 	norm := false
 	s, err := c.Start(context.Background(), "s-2", SweepRequest{
-		Workloads:  []string{"good", "bad"},
+		Workloads:  []string{"apache", "derby"},
 		Thresholds: []int{100},
 		Normalize:  &norm,
 	})
@@ -118,10 +118,10 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		t.Fatalf("streamed %d lines, want 2", len(lines))
 	}
 	if lines[0].Status != "done" {
-		t.Errorf("good point: %+v", lines[0])
+		t.Errorf("apache point: %+v", lines[0])
 	}
 	if lines[1].Status != "failed" || lines[1].Error == "" || lines[1].Row != nil {
-		t.Errorf("bad point: %+v", lines[1])
+		t.Errorf("derby point: %+v", lines[1])
 	}
 	// Normalize off leaves Normalized at zero.
 	if lines[0].Row.Normalized != 0 {
@@ -132,9 +132,12 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		t.Errorf("progress = %+v", prog)
 	}
 
-	// Shape-level validation fires before any execution.
+	// Shape-level validation, and each point's config, fire before any
+	// execution.
 	for _, bad := range []SweepRequest{
 		{},
+		{Workloads: []string{"apache", "nope"}},
+		{Workloads: []string{"apache"}, Policies: []string{"HI", "warp"}},
 		{Workloads: []string{"apache"}, Thresholds: []int{-1}},
 		{Workloads: []string{"apache"}, Latencies: []int{-5}},
 		{Workloads: []string{"apache"}, Mode: "warp"},
@@ -154,8 +157,8 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		}
 	}
 	// A grid of exactly maxSweepPoints is accepted.
-	if _, err := (SweepRequest{Workloads: make([]string, 2), Thresholds: make([]int, 64),
-		Latencies: make([]int, 32)}).withDefaults(); err != nil {
+	if _, _, err := (SweepRequest{Workloads: []string{"apache", "derby"}, Thresholds: make([]int, 64),
+		Latencies: make([]int, 32)}).Expand(); err != nil {
 		t.Errorf("grid of %d points rejected: %v", maxSweepPoints, err)
 	}
 	if _, err := (SweepRequest{Workloads: []string{"apache"}, Mode: "sampled",

@@ -32,9 +32,6 @@ type ClusterOptions struct {
 	// cluster.ParseMembership so malformed addresses are rejected at
 	// flag-parse time, not mid-request.
 	Membership cluster.Membership
-	// VNodes is the ring's virtual-node count per replica (0 =
-	// cluster.DefaultVNodes).
-	VNodes int
 	// StealThreshold is the local queue depth above which an owner
 	// forwards new jobs to the least-loaded peer instead of queueing
 	// (work-stealing). 0 uses DefaultStealThreshold; negative disables
@@ -67,7 +64,7 @@ type clusterNode struct {
 // was checked by cluster.ParseMembership, so ring construction cannot
 // fail; a panic here means a caller bypassed validation.
 func newClusterNode(o ClusterOptions) *clusterNode {
-	ring, err := cluster.NewRing(o.Membership.All(), o.VNodes)
+	ring, err := cluster.NewRing(o.Membership.All())
 	if err != nil {
 		panic(fmt.Sprintf("server: invalid cluster membership reached New: %v", err))
 	}

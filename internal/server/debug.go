@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"offloadsim/internal/cluster"
 	"offloadsim/internal/obs"
 )
 
@@ -135,7 +136,7 @@ func (s *Server) handleDebugRing(w http.ResponseWriter, _ *http.Request) {
 	if c := s.cluster; c != nil {
 		doc.Enabled = true
 		doc.Self = c.self
-		doc.VNodesPerMember = c.ring.VNodesPerMember()
+		doc.VNodesPerMember = cluster.DefaultVNodes
 		doc.StealThreshold = c.stealThreshold
 		owned := make(map[string]int)
 		for _, k := range keys {

@@ -53,7 +53,7 @@ func newFleet(t *testing.T, n int, mutate func(i int, o *Options)) *fleet {
 		lns[i] = ln
 		addrs[i] = "http://" + ln.Addr().String()
 	}
-	ring, err := cluster.NewRing(addrs, 0)
+	ring, err := cluster.NewRing(addrs)
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}

@@ -444,13 +444,16 @@ func (s *Server) execute(j *job) {
 	s.metrics.ObserveQueueWait(j.startedAt.Sub(j.submittedAt).Seconds())
 	// Retro-recorded: the wait is only known once a worker picks the job up.
 	s.obs.RecordSpan(j.tctx, "queue_wait", j.id, j.submittedAt, j.startedAt, obs.StatusOK, "", nil)
+	// The running gauge drops before each finishJob, which closes the
+	// job's done channel: a client that sees the job finished must not
+	// scrape it as still running.
 	s.metrics.JobsRunning.Add(1)
-	defer s.metrics.JobsRunning.Add(-1)
 
 	// Two-tier cache, remote leg: before simulating a key this replica
 	// does not own, ask the ring owner's cache — a result computed
 	// anywhere in the fleet is computed once (cluster.go).
 	if res, ok := s.tryPeerFetch(j); ok {
+		s.metrics.JobsRunning.Add(-1)
 		s.finishJob(j, res, nil, "")
 		return
 	}
@@ -480,6 +483,7 @@ func (s *Server) execute(j *job) {
 	}
 	if ctx.Err() != nil {
 		// Forced shutdown already fired: fail without spawning work.
+		s.metrics.JobsRunning.Add(-1)
 		s.finishJob(j, nil, nil, fmt.Sprintf("job aborted: %v", ctx.Err()))
 		return
 	}
@@ -537,6 +541,7 @@ func (s *Server) execute(j *job) {
 			slog.String("job", j.id), slog.String("error", errMsg))...)
 	}
 
+	s.metrics.JobsRunning.Add(-1)
 	s.finishJob(j, resBytes, capture, errMsg)
 }
 

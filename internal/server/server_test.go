@@ -406,6 +406,44 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestJobsRunningDropsBeforeDone: offsimd_jobs_running reads 0 once a
+// job's done channel has closed, so a client that sees the job finished
+// never scrapes it as running. The last clock read before Wait returns
+// is completeLocked's finishedAt stamp, taken just before done closes;
+// the stubbed clock records the gauge at each read.
+func TestJobsRunningDropsBeforeDone(t *testing.T) {
+	srv := New(Options{QueueSize: 1, Workers: 1})
+	srv.runSim = func(c sim.Config) (sim.Result, error) {
+		return sim.Result{Workload: c.Workload.Name, Throughput: 1}, nil
+	}
+	var mu sync.Mutex
+	var running []int64
+	srv.now = func() time.Time {
+		mu.Lock()
+		running = append(running, srv.Metrics().JobsRunning.Load())
+		mu.Unlock()
+		return time.Now()
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+
+	st, err := srv.Submit(smallSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if final, err := srv.Wait(ctx, st.ID); err != nil || final.State != StateDone {
+		t.Fatalf("job: %v / %+v", err, final)
+	}
+	mu.Lock()
+	last := running[len(running)-1]
+	mu.Unlock()
+	if last != 0 {
+		t.Errorf("jobs running = %d when the job completed, want 0", last)
+	}
+}
+
 // TestSubmitRejectsInvalidSpecs covers the 400 path.
 func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	srv := New(Options{})
@@ -500,6 +538,26 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("sweep with a K axis %s: HTTP %d, want 400", body, resp.StatusCode)
 		}
+	}
+	// A sweep naming an unknown workload or policy is refused, naming
+	// it, before any point runs.
+	for _, tc := range []struct{ body, want string }{
+		{`{"workloads":["apache","nope"]}`, `sweep: unknown workload "nope"`},
+		{`{"workloads":["apache"],"policies":["HI","warp"]}`, `sweep: unknown policy "warp"`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr apiError
+		_ = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, tc.want) {
+			t.Errorf("sweep %s: HTTP %d %q, want 400 with %q", tc.body, resp.StatusCode, apiErr.Error, tc.want)
+		}
+	}
+	if got := srv.Metrics().Sweeps.Load(); got != 0 {
+		t.Errorf("invalid sweeps counted as accepted: %d", got)
 	}
 	// Unknown fields are rejected too (catches client typos like "sede").
 	if code, _, _ := postJob(t, ts, []byte(`{"workload":"apache","sede":3}`)); code != http.StatusBadRequest {

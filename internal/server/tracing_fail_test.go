@@ -66,7 +66,7 @@ func newStubFleet(t *testing.T, stubs []http.Handler, mutate func(*Options)) *st
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
-	ring, err := cluster.NewRing(append([]string{self}, peers...), 0)
+	ring, err := cluster.NewRing(append([]string{self}, peers...))
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}

@@ -13,11 +13,15 @@ import (
 // accounting is estimated). Detailed intervals are extrapolated into a
 // Result; Run (run.go) fans replicas of this engine out and merges them.
 
-// IntervalSample is the raw measurement of one detailed interval. All
-// values are deltas over the interval.
+// IntervalSample is the measurement of one window between two probes
+// (sampleDelta): a sampled interval, a telemetry series point or a
+// whole measurement window. All values are deltas over the window.
 type IntervalSample struct {
 	// Index is the interval's position in the measurement window.
 	Index int
+	// Measured marks a sampled run's detailed interval; the other
+	// intervals contribute only their trace-exact covariates.
+	Measured bool
 	// Instrs is the workload instructions retired across user cores.
 	Instrs uint64
 	// Cycles is the largest per-core elapsed cycle count.
@@ -29,6 +33,11 @@ type IntervalSample struct {
 	// longer intervals carry proportionally more weight.
 	PerCoreInstrs []uint64
 	PerCoreCycles []uint64
+	// PerCoreOSInstrs and PerCoreOffloads are each core's privileged
+	// instructions and off-load round trips: with PerCoreInstrs, the
+	// trace-exact covariates of the sampled regression (regressPerCore).
+	PerCoreOSInstrs []uint64
+	PerCoreOffloads []uint64
 	// Throughput is the sum of PerCoreIPC — the same aggregate the full
 	// simulation reports.
 	Throughput float64
@@ -48,13 +57,11 @@ type IntervalSample struct {
 	MemoryFills, MemoryWritebacks uint64
 }
 
-// intervalProbe is a raw snapshot of every counter the sampled collector
-// differences across a detailed interval.
+// intervalProbe is a raw snapshot of every measured counter. probe is
+// the engine's only reader of them: a Result, a sampled interval and a
+// telemetry series point are each the difference of two probes.
 type intervalProbe struct {
-	clock, retired, idle        []uint64
-	l2Hits, l2Acc               []uint64
-	l1dHits, l1dAcc             []uint64
-	entries, offloads, overhead []uint64
+	cores []coreProbe
 
 	osL2Hits, osL2Acc uint64
 	osBusy            uint64
@@ -64,27 +71,31 @@ type intervalProbe struct {
 	c2c, inval, fills, wb uint64
 }
 
+// coreProbe is one user core's part of a probe.
+type coreProbe struct {
+	clock, retired, osIns, idle uint64
+	l2Hits, l2Acc               uint64
+	l1dHits, l1dAcc             uint64
+	entries, offloads, overhead uint64
+}
+
 func (s *Simulator) probe() intervalProbe {
-	n := len(s.users)
-	p := intervalProbe{
-		clock: make([]uint64, n), retired: make([]uint64, n), idle: make([]uint64, n),
-		l2Hits: make([]uint64, n), l2Acc: make([]uint64, n),
-		l1dHits: make([]uint64, n), l1dAcc: make([]uint64, n),
-		entries: make([]uint64, n), offloads: make([]uint64, n), overhead: make([]uint64, n),
-	}
+	p := intervalProbe{cores: make([]coreProbe, len(s.users))}
 	for i, u := range s.users {
-		p.clock[i] = u.clock
-		p.retired[i] = u.retired
-		p.idle[i] = u.core.Counters.IdleCyc.Value()
-		l2 := s.sys.L2(u.core.Node())
-		p.l2Hits[i] = l2.Stats.Hits.Value()
-		p.l2Acc[i] = l2.Stats.Accesses.Value()
-		p.l1dHits[i] = u.core.L1D().Stats.Hits.Value()
-		p.l1dAcc[i] = u.core.L1D().Stats.Accesses.Value()
-		ps := u.pol.Stats()
-		p.entries[i] = ps.Entries.Value()
-		p.offloads[i] = ps.Offloads.Value()
-		p.overhead[i] = ps.OverheadCycles.Value()
+		l2, l1d, ps := s.sys.L2(u.core.Node()), u.core.L1D(), u.pol.Stats()
+		p.cores[i] = coreProbe{
+			clock:    u.clock,
+			retired:  u.retired,
+			osIns:    u.osInstrs,
+			idle:     u.core.Counters.IdleCyc.Value(),
+			l2Hits:   l2.Stats.Hits.Value(),
+			l2Acc:    l2.Stats.Accesses.Value(),
+			l1dHits:  l1d.Stats.Hits.Value(),
+			l1dAcc:   l1d.Stats.Accesses.Value(),
+			entries:  ps.Entries.Value(),
+			offloads: ps.Offloads.Value(),
+			overhead: ps.OverheadCycles.Value(),
+		}
 	}
 	if s.osc != nil {
 		for q := 0; q < s.osc.K(); q++ {
@@ -103,13 +114,14 @@ func (s *Simulator) probe() intervalProbe {
 	return p
 }
 
-// sampleDelta differences the current state against before.
-func (s *Simulator) sampleDelta(idx int, before intervalProbe) IntervalSample {
-	after := s.probe()
+// sampleDelta measures the window from probe before to probe after.
+func sampleDelta(idx int, before, after intervalProbe) IntervalSample {
 	out := IntervalSample{Index: idx}
-	for i := range s.users {
-		elapsed := after.clock[i] - before.clock[i]
-		retired := after.retired[i] - before.retired[i]
+	for i, a := range after.cores {
+		b := before.cores[i]
+		elapsed := a.clock - b.clock
+		retired := a.retired - b.retired
+		offloads := a.offloads - b.offloads
 		ipc := 0.0
 		if elapsed > 0 {
 			ipc = float64(retired) / float64(elapsed)
@@ -117,19 +129,21 @@ func (s *Simulator) sampleDelta(idx int, before intervalProbe) IntervalSample {
 		out.PerCoreIPC = append(out.PerCoreIPC, ipc)
 		out.PerCoreInstrs = append(out.PerCoreInstrs, retired)
 		out.PerCoreCycles = append(out.PerCoreCycles, elapsed)
+		out.PerCoreOSInstrs = append(out.PerCoreOSInstrs, a.osIns-b.osIns)
+		out.PerCoreOffloads = append(out.PerCoreOffloads, offloads)
 		out.Throughput += ipc
 		out.Instrs += retired
 		if elapsed > out.Cycles {
 			out.Cycles = elapsed
 		}
-		out.UserL2Hits += after.l2Hits[i] - before.l2Hits[i]
-		out.UserL2Accesses += after.l2Acc[i] - before.l2Acc[i]
-		out.UserL1DHits += after.l1dHits[i] - before.l1dHits[i]
-		out.UserL1DAccesses += after.l1dAcc[i] - before.l1dAcc[i]
-		out.OSEntries += after.entries[i] - before.entries[i]
-		out.Offloads += after.offloads[i] - before.offloads[i]
-		out.OverheadCycles += after.overhead[i] - before.overhead[i]
-		out.UserIdleCycles += after.idle[i] - before.idle[i]
+		out.UserL2Hits += a.l2Hits - b.l2Hits
+		out.UserL2Accesses += a.l2Acc - b.l2Acc
+		out.UserL1DHits += a.l1dHits - b.l1dHits
+		out.UserL1DAccesses += a.l1dAcc - b.l1dAcc
+		out.OSEntries += a.entries - b.entries
+		out.Offloads += offloads
+		out.OverheadCycles += a.overhead - b.overhead
+		out.UserIdleCycles += a.idle - b.idle
 	}
 	out.OSL2Hits = after.osL2Hits - before.osL2Hits
 	out.OSL2Accesses = after.osL2Acc - before.osL2Acc
@@ -167,49 +181,6 @@ func (s *Simulator) setWarmingStride(on bool, stride int) {
 	}
 }
 
-// intervalCov is one interval's trace-exact covariates, per user core.
-// Unlike cycle counts these are pure functions of the segment stream and
-// the policy decision sequence, so functional warming observes them
-// exactly; they anchor the regression extrapolation in collectSampled.
-type intervalCov struct {
-	measured bool
-	ins      []uint64 // instructions retired
-	osIns    []uint64 // privileged instructions retired
-	offl     []uint64 // off-load round-trips issued
-}
-
-// covSnapshot captures the absolute counters behind intervalCov.
-type covSnapshot struct {
-	retired, osIns, offl []uint64
-}
-
-func (s *Simulator) covSnapshot() covSnapshot {
-	n := len(s.users)
-	c := covSnapshot{
-		retired: make([]uint64, n), osIns: make([]uint64, n), offl: make([]uint64, n),
-	}
-	for i, u := range s.users {
-		c.retired[i] = u.retired
-		c.osIns[i] = u.osInstrs
-		c.offl[i] = u.pol.Stats().Offloads.Value()
-	}
-	return c
-}
-
-func covDelta(before, after covSnapshot, measured bool) intervalCov {
-	n := len(before.retired)
-	cov := intervalCov{
-		measured: measured,
-		ins:      make([]uint64, n), osIns: make([]uint64, n), offl: make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		cov.ins[i] = after.retired[i] - before.retired[i]
-		cov.osIns[i] = after.osIns[i] - before.osIns[i]
-		cov.offl[i] = after.offl[i] - before.offl[i]
-	}
-	return cov
-}
-
 // maxMeasured returns the furthest per-core progress through the
 // measurement window — the anchor for the next interval target.
 func (s *Simulator) maxMeasured() uint64 {
@@ -223,11 +194,11 @@ func (s *Simulator) maxMeasured() uint64 {
 }
 
 // runIntervals executes warmup plus measurement in interval-sampling
-// mode and returns the raw samples of the measured intervals and every
-// interval's covariates, the inputs of collectSampled. The run is fully
-// deterministic: segment streams, interval boundaries and the warming
-// stride are all pure functions of the Config.
-func (s *Simulator) runIntervals() ([]IntervalSample, []intervalCov) {
+// mode and returns every interval of the measurement window, the input
+// of collectSampled. The run is fully deterministic: segment streams,
+// interval boundaries and the warming stride are all pure functions of
+// the Config.
+func (s *Simulator) runIntervals() []IntervalSample {
 	sp := s.cfg.Sampling
 
 	// Warmup: strided warming for the head, full-density (stride 1)
@@ -261,10 +232,9 @@ func (s *Simulator) runIntervals() ([]IntervalSample, []intervalCov) {
 	// positions: compute-heavy workloads emit segments far longer than
 	// one interval, and a fixed schedule would drift behind the cores and
 	// measure empty windows.
-	var samples []IntervalSample
-	var covs []intervalCov
+	var intervals []IntervalSample
 	total := s.cfg.MeasureInstrs
-	covBefore := s.covSnapshot()
+	prev := s.measureStart
 	for idx := 0; ; idx++ {
 		start := s.maxMeasured()
 		if start >= total {
@@ -275,43 +245,37 @@ func (s *Simulator) runIntervals() ([]IntervalSample, []intervalCov) {
 			target = total
 		}
 		pos := idx % sp.Ratio
-		measured := pos == sp.DetailedWarmIntervals
-		switch {
-		case pos < sp.DetailedWarmIntervals:
-			s.setWarming(false)
-			s.runUntil(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= target })
-		case measured:
-			s.setWarming(false)
-			before := s.probe()
-			s.runUntil(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= target })
-			samples = append(samples, s.sampleDelta(idx, before))
-		default:
-			s.setWarming(warmFunctional)
-			s.runUntil(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= target })
-		}
-		covAfter := s.covSnapshot()
-		covs = append(covs, covDelta(covBefore, covAfter, measured))
-		covBefore = covAfter
+		s.setWarming(warmFunctional && pos > sp.DetailedWarmIntervals)
+		s.runUntil(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= target })
+		next := s.probe()
+		iv := sampleDelta(idx, prev, next)
+		iv.Measured = pos == sp.DetailedWarmIntervals
+		intervals = append(intervals, iv)
+		prev = next
 	}
 	s.setWarming(false)
-	return samples, covs
+	return intervals
 }
 
-// collectSampled extrapolates the detailed samples into a full Result.
-// Identity, predictor-accuracy and tuner fields come from the normal
-// collector (they are rates or end-of-run state, valid across modes);
-// everything measured in cycles or events is rebuilt from the detailed
-// deltas, with raw event counts scaled by the inverse sampling fraction.
+// collectSampled extrapolates the measured intervals into a full Result.
+// Identity, window totals, predictor-accuracy and tuner fields come from
+// the normal collector; rates and event counts are rebuilt from the
+// measured intervals, with counts scaled by the inverse sampling fraction.
 // Throughput uses the regression estimator over the trace-exact interval
 // covariates when enough samples exist (see regress.go), falling back to
 // the ratio-of-sums expansion otherwise.
-func (s *Simulator) collectSampled(samples []IntervalSample, covs []intervalCov) Result {
+func (s *Simulator) collectSampled(intervals []IntervalSample) Result {
 	r := s.collect()
 
 	var agg IntervalSample
+	var samples []IntervalSample
 	retiredSum := make([]uint64, len(s.users))
 	elapsedSum := make([]uint64, len(s.users))
-	for _, smp := range samples {
+	for _, smp := range intervals {
+		if !smp.Measured {
+			continue
+		}
+		samples = append(samples, smp)
 		agg.Instrs += smp.Instrs
 		agg.Cycles += smp.Cycles
 		agg.UserL2Hits += smp.UserL2Hits
@@ -342,57 +306,23 @@ func (s *Simulator) collectSampled(samples []IntervalSample, covs []intervalCov)
 	// the estimate. This is also the fallback when the regression
 	// estimator below cannot run.
 	perCore := make([]float64, len(s.users))
-	r.Throughput = 0
 	for i := range perCore {
 		perCore[i] = stats.Ratio(retiredSum[i], elapsedSum[i])
-		r.Throughput += perCore[i]
 	}
-	estimator := s.regressPerCore(samples, covs, perCore)
+	estimator := regressPerCore(intervals, samples, perCore)
 	r.Throughput = 0
 	for _, ipc := range perCore {
 		r.Throughput += ipc
 	}
 	r.PerCoreIPC = perCore
 
-	// Actual totals over the whole measurement window; events observed
-	// in the detailed fraction scale up by the inverse fraction.
-	var totInstrs, maxElapsed uint64
-	for _, u := range s.users {
-		totInstrs += u.retired - u.retiredAtMeas
-		if e := u.clock - u.measureStart; e > maxElapsed {
-			maxElapsed = e
-		}
-	}
 	scale := 1.0
 	if agg.Instrs > 0 {
-		scale = float64(totInstrs) / float64(agg.Instrs)
+		scale = float64(r.Instrs) / float64(agg.Instrs)
 	}
-	scaleUp := func(v uint64) uint64 { return uint64(float64(float64(v)*scale) + 0.5) }
-
-	r.Instrs = totInstrs
-	r.Cycles = maxElapsed
-	r.UserL2HitRate = stats.Ratio(agg.UserL2Hits, agg.UserL2Accesses)
-	r.UserL1DHit = stats.Ratio(agg.UserL1DHits, agg.UserL1DAccesses)
-	r.OSL2HitRate = stats.Ratio(agg.OSL2Hits, agg.OSL2Accesses)
-	r.OSEntries = scaleUp(agg.OSEntries)
-	r.Offloads = scaleUp(agg.Offloads)
-	r.OffloadRate = stats.Ratio(agg.Offloads, agg.OSEntries)
-	r.OverheadCycles = scaleUp(agg.OverheadCycles)
-	r.UserIdleCycles = scaleUp(agg.UserIdleCycles)
-	r.OSBusyCycles = scaleUp(agg.OSBusyCycles)
-	r.C2CTransfers = scaleUp(agg.C2CTransfers)
-	r.Invalidations = scaleUp(agg.Invalidations)
-	r.MemoryFills = scaleUp(agg.MemoryFills)
-	r.MemoryWritebacks = scaleUp(agg.MemoryWritebacks)
-	if slots := uint64(s.osSlotsTotal()); slots > 0 {
-		if agg.Cycles > 0 {
-			r.OSCoreUtilization = float64(agg.OSBusyCycles) / (float64(agg.Cycles) * float64(slots))
-		}
-		if agg.QueueDelayCount > 0 {
-			r.MeanQueueDelay = agg.QueueDelaySum / float64(agg.QueueDelayCount)
-		} else {
-			r.MeanQueueDelay = 0
-		}
+	r.setCounts(agg, scale)
+	if slots := s.osSlotsTotal(); slots > 0 && agg.Cycles > 0 {
+		r.OSCoreUtilization = float64(agg.OSBusyCycles) / (float64(agg.Cycles) * float64(slots))
 	}
 
 	sp := s.cfg.Sampling
@@ -408,42 +338,45 @@ func (s *Simulator) collectSampled(samples []IntervalSample, covs []intervalCov)
 	return r
 }
 
+// covariates is core c's regression row for the interval: an intercept,
+// then its instructions, privileged instructions and off-loads.
+func (iv IntervalSample) covariates(c int) []float64 {
+	return []float64{1, float64(iv.PerCoreInstrs[c]), float64(iv.PerCoreOSInstrs[c]), float64(iv.PerCoreOffloads[c])}
+}
+
 // regressPerCore replaces perCore with regression-extrapolated IPCs when
 // possible and reports the estimator actually used. For each core it
-// fits the sampled intervals' cycle counts against their trace-exact
-// covariates and evaluates the fit at the covariate totals of the whole
-// measurement window, which every interval — warming included — has
-// observed exactly.
-func (s *Simulator) regressPerCore(samples []IntervalSample, covs []intervalCov, perCore []float64) string {
-	var measured []intervalCov
-	xTot := make([][]float64, len(s.users))
-	for i := range xTot {
-		xTot[i] = make([]float64, 4)
-	}
-	for _, cov := range covs {
-		for c := range xTot {
-			xTot[c][0]++
-			xTot[c][1] += float64(cov.ins[c])
-			xTot[c][2] += float64(cov.osIns[c])
-			xTot[c][3] += float64(cov.offl[c])
-		}
-		if cov.measured {
-			measured = append(measured, cov)
-		}
-	}
-	if len(measured) != len(samples) || len(samples) < olsMinSamples {
+// fits the measured samples' cycle counts against their trace-exact
+// covariates and evaluates the fit at the covariate totals of every
+// interval of the measurement window, which every interval — warming
+// included — has observed exactly.
+func regressPerCore(intervals, samples []IntervalSample, perCore []float64) string {
+	if len(samples) < olsMinSamples {
 		return "ratio"
 	}
-
-	ipc := make([]float64, len(s.users))
-	for c, u := range s.users {
-		xs := make([][]float64, len(measured))
-		ys := make([]float64, len(measured))
-		for k, cov := range measured {
-			xs[k] = []float64{1, float64(cov.ins[c]), float64(cov.osIns[c]), float64(cov.offl[c])}
-			ys[k] = float64(samples[k].PerCoreCycles[c])
+	xTot := make([][]float64, len(perCore))
+	for c := range xTot {
+		xTot[c] = make([]float64, 4)
+	}
+	for _, iv := range intervals {
+		for c, x := range xTot {
+			for j, v := range iv.covariates(c) {
+				x[j] += v
+			}
 		}
-		insTot := float64(u.retired - u.retiredAtMeas)
+	}
+
+	ipc := make([]float64, len(perCore))
+	for c := range ipc {
+		xs := make([][]float64, len(samples))
+		ys := make([]float64, len(samples))
+		for k, m := range samples {
+			xs[k] = m.covariates(c)
+			ys[k] = float64(m.PerCoreCycles[c])
+		}
+		// The intervals partition the window, so the instruction
+		// covariate's total is the core's measured instruction count.
+		insTot := xTot[c][1]
 		cycTot, ok := olsTotal(xs, ys, xTot[c])
 		if !ok || cycTot <= 0 {
 			return "ratio"

@@ -181,52 +181,24 @@ type SamplingProvenance struct {
 	ThroughputRelErr float64
 }
 
-// collect gathers the result after measurement completes.
+// collect gathers the result after measurement completes: the counts of
+// the window between measureStart and a final probe, and end-of-run state.
 func (s *Simulator) collect() Result {
-	name := s.cfg.profileFor(0).Name
-	for i := 1; i < s.cfg.UserCores; i++ {
-		if p := s.cfg.profileFor(i); p.Name != name {
-			name = "mixed"
-			break
-		}
-	}
+	w := sampleDelta(0, s.measureStart, s.probe())
 	r := Result{
-		Workload:  name,
-		Policy:    s.cfg.Policy.String(),
-		Threshold: s.cfg.Threshold,
-		OneWay:    s.cfg.Migration.OneWay,
-		UserCores: s.cfg.UserCores,
+		Workload:   s.workloadName(),
+		Policy:     s.cfg.Policy.String(),
+		Threshold:  s.cfg.Threshold,
+		OneWay:     s.cfg.Migration.OneWay,
+		UserCores:  s.cfg.UserCores,
+		Throughput: w.Throughput,
+		PerCoreIPC: w.PerCoreIPC,
+		Instrs:     w.Instrs,
+		Cycles:     w.Cycles,
 	}
+	r.setCounts(w, 1)
 
-	var sumIPC float64
-	var maxElapsed uint64
-	var userHits, userAcc uint64
-	var l1dHits, l1dAcc uint64
 	for _, u := range s.users {
-		elapsed := u.clock - u.measureStart
-		retired := u.retired - u.retiredAtMeas
-		ipc := 0.0
-		if elapsed > 0 {
-			ipc = float64(retired) / float64(elapsed)
-		}
-		r.PerCoreIPC = append(r.PerCoreIPC, ipc)
-		sumIPC += ipc
-		if elapsed > maxElapsed {
-			maxElapsed = elapsed
-		}
-		r.Instrs += retired
-
-		l2 := s.sys.L2(u.core.Node())
-		userHits += l2.Stats.Hits.Value()
-		userAcc += l2.Stats.Accesses.Value()
-		l1dHits += u.core.L1D().Stats.Hits.Value()
-		l1dAcc += u.core.L1D().Stats.Accesses.Value()
-
-		r.UserIdleCycles += u.core.Counters.IdleCyc.Value()
-		r.OSEntries += u.pol.Stats().Entries.Value()
-		r.Offloads += u.pol.Stats().Offloads.Value()
-		r.OverheadCycles += u.pol.Stats().OverheadCycles.Value()
-
 		if eng := policy.Engine(u.pol); eng != nil {
 			// Reported accuracy covers system calls only: §IV omits the
 			// SPARC window-trap invocations from statistics they would
@@ -249,46 +221,60 @@ func (s *Simulator) collect() Result {
 		}
 		r.PrivFraction = u.gen.SourceStats().PrivFraction()
 	}
-	r.Throughput = sumIPC
-	r.Cycles = maxElapsed
-	r.UserL2HitRate = stats.Ratio(userHits, userAcc)
-	r.UserL1DHit = stats.Ratio(l1dHits, l1dAcc)
-	r.OffloadRate = stats.Ratio(r.Offloads, r.OSEntries)
 
 	if s.osc != nil {
 		r.HasOSCore = true
-		var osHits, osAcc uint64
-		for q := 0; q < s.osc.K(); q++ {
-			ol2 := s.sys.L2(s.osNode + q)
-			osHits += ol2.Stats.Hits.Value()
-			osAcc += ol2.Stats.Accesses.Value()
-		}
-		r.OSL2HitRate = stats.Ratio(osHits, osAcc)
-		r.OSCoreUtilization = s.osc.Utilization(maxElapsed)
-		r.OSBusyCycles = s.osc.BusyCycles()
-		delaySum, delayN, delayMax := s.osc.QueueDelay()
-		switch {
-		case !s.cfg.OSCores.Enabled:
+		r.OSCoreUtilization = s.osc.Utilization(r.Cycles)
+		if !s.cfg.OSCores.Enabled {
 			// The single OS core reports its queue's running mean:
 			// Sum is mean x n, so Sum/N can land one ulp off it.
 			r.MeanQueueDelay = s.osc.Queue(0).QueueDelay.Mean()
-		case delayN > 0:
-			r.MeanQueueDelay = delaySum / float64(delayN)
 		}
-		r.MaxQueueDelay = delayMax
+		_, _, r.MaxQueueDelay = s.osc.QueueDelay()
 		if s.cfg.OSCores.Enabled {
-			r.OSCores = s.oscoresProvenance(maxElapsed)
+			r.OSCores = s.oscoresProvenance(r.Cycles)
 		}
 	}
-	cs := &s.sys.Stats
-	r.C2CTransfers = cs.C2CTransfers.Value()
-	r.Invalidations = cs.Invalidations.Value()
-	r.MemoryFills = cs.MemoryFills.Value()
-	r.MemoryWritebacks = s.sys.Memory().Writebacks()
 	if s.par != nil {
 		r.Parallel = &ParallelProvenance{Quantum: s.par.quantum, Quanta: s.par.quanta}
 	}
 	return r
+}
+
+// setCounts fills r's hit rates, mean queue delay and event counts from
+// window w, scaling each count by scale: 1 (which returns any count
+// below 2^52 unchanged) for the measurement window, its instructions
+// over w's when w sums the measured intervals.
+func (r *Result) setCounts(w IntervalSample, scale float64) {
+	count := func(v uint64) uint64 { return uint64(float64(float64(v)*scale) + 0.5) }
+	r.UserL2HitRate = stats.Ratio(w.UserL2Hits, w.UserL2Accesses)
+	r.UserL1DHit = stats.Ratio(w.UserL1DHits, w.UserL1DAccesses)
+	r.OSL2HitRate = stats.Ratio(w.OSL2Hits, w.OSL2Accesses)
+	r.OSEntries = count(w.OSEntries)
+	r.Offloads = count(w.Offloads)
+	r.OffloadRate = stats.Ratio(w.Offloads, w.OSEntries)
+	r.OverheadCycles = count(w.OverheadCycles)
+	r.UserIdleCycles = count(w.UserIdleCycles)
+	r.OSBusyCycles = count(w.OSBusyCycles)
+	r.MeanQueueDelay = 0
+	if w.QueueDelayCount > 0 {
+		r.MeanQueueDelay = w.QueueDelaySum / float64(w.QueueDelayCount)
+	}
+	r.C2CTransfers = count(w.C2CTransfers)
+	r.Invalidations = count(w.Invalidations)
+	r.MemoryFills = count(w.MemoryFills)
+	r.MemoryWritebacks = count(w.MemoryWritebacks)
+}
+
+// workloadName names the profile every user core runs, or "mixed".
+func (s *Simulator) workloadName() string {
+	name := s.cfg.profileFor(0).Name
+	for i := 1; i < s.cfg.UserCores; i++ {
+		if s.cfg.profileFor(i).Name != name {
+			return "mixed"
+		}
+	}
+	return name
 }
 
 // oscoresProvenance shapes the cluster runtime's counters into the

@@ -6,6 +6,7 @@ import (
 
 	"offloadsim/internal/core"
 	"offloadsim/internal/policy"
+	"offloadsim/internal/telemetry"
 	"offloadsim/internal/workloads"
 )
 
@@ -98,8 +99,14 @@ func TestSamplingCanonicalKeys(t *testing.T) {
 func TestSamplingExtrapolates(t *testing.T) {
 	cfg := sampledCfg(policy.HardwarePredictor)
 	s := MustNew(cfg)
-	samples, covs := s.runIntervals()
-	r := s.collectSampled(samples, covs)
+	intervals := s.runIntervals()
+	r := s.collectSampled(intervals)
+	var samples []IntervalSample
+	for _, iv := range intervals {
+		if iv.Measured {
+			samples = append(samples, iv)
+		}
+	}
 
 	if r.Sampling == nil {
 		t.Fatal("sampled run carries no provenance")
@@ -130,6 +137,55 @@ func TestSamplingExtrapolates(t *testing.T) {
 	for _, s := range samples {
 		if s.Instrs == 0 || s.Cycles == 0 {
 			t.Fatalf("interval %d measured empty window", s.Index)
+		}
+	}
+}
+
+// TestIntervalsPartitionWindow: the windows a run measures tile its
+// measurement window, none skipped and none counted twice. A detailed
+// run's telemetry series sums to its Result, and a sampled run's
+// intervals sum to each core's measured instructions and off-loads.
+func TestIntervalsPartitionWindow(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		cfg := quickCfg(workloads.Apache(), policy.HardwarePredictor)
+		cfg.UserCores = cores
+		s := MustNew(cfg)
+		trc, err := s.AttachTelemetry(telemetry.Options{IntervalInstrs: 20_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := s.Run()
+		series := trc.Capture().Series
+		if len(series) < 2 {
+			t.Fatalf("%d cores: %d series points, want several", cores, len(series))
+		}
+		var instrs, entries, offloads uint64
+		for _, p := range series {
+			instrs += p.Instrs
+			entries += p.OSEntries
+			offloads += p.Offloads
+		}
+		if instrs != r.Instrs || entries != r.OSEntries || offloads != r.Offloads {
+			t.Errorf("%d cores: series sums instrs %d, OS entries %d, off-loads %d; result has %d, %d, %d",
+				cores, instrs, entries, offloads, r.Instrs, r.OSEntries, r.Offloads)
+		}
+	}
+
+	cfg := sampledCfg(policy.HardwarePredictor)
+	cfg.UserCores = 2
+	s := MustNew(cfg)
+	intervals := s.runIntervals()
+	for c, u := range s.users {
+		var instrs, offloads uint64
+		for _, iv := range intervals {
+			instrs += iv.PerCoreInstrs[c]
+			offloads += iv.PerCoreOffloads[c]
+		}
+		if want := u.retired - u.retiredAtMeas; instrs != want {
+			t.Errorf("core %d: intervals sum to %d instrs, measured %d", c, instrs, want)
+		}
+		if want := u.pol.Stats().Offloads.Value(); offloads != want {
+			t.Errorf("core %d: intervals sum to %d off-loads, measured %d", c, offloads, want)
 		}
 	}
 }

@@ -273,8 +273,7 @@ type userCtx struct {
 	clock         uint64
 	retired       uint64 // workload instructions retired (incl. off-loaded)
 	osInstrs      uint64 // privileged instructions retired (subset of retired)
-	measureStart  uint64 // clock at measurement start
-	retiredAtMeas uint64
+	retiredAtMeas uint64 // retired at measurement start
 
 	// epoch bookkeeping for the dynamic tuner
 	epochRetired uint64
@@ -330,6 +329,10 @@ type Simulator struct {
 	// trc is the attached telemetry tracer; nil when telemetry is off
 	// (see AttachTelemetry in telemetry.go).
 	trc *telemetry.Tracer
+
+	// measureStart is the probe taken when measurement starts: the
+	// first end of every measured window (interval.go).
+	measureStart intervalProbe
 }
 
 // New builds a simulator from cfg. A sampled config builds one replica:
@@ -698,7 +701,6 @@ func (s *Simulator) resetAfterWarmup() {
 	s.sys.ResetStats()
 	for _, u := range s.users {
 		u.core.ResetStats()
-		u.measureStart = u.clock
 		u.retiredAtMeas = u.retired
 		// Policy decision stats restart; predictor training persists,
 		// as warmed hardware state should.
@@ -716,6 +718,7 @@ func (s *Simulator) resetAfterWarmup() {
 	if s.osc != nil {
 		s.osc.ResetStats()
 	}
+	s.measureStart = s.probe()
 	// Telemetry captures describe exactly the measurement window.
 	s.trc.Arm()
 }

@@ -48,15 +48,8 @@ func (s *Simulator) AttachTelemetry(opts telemetry.Options) (*telemetry.Tracer, 
 
 // telemetryMeta describes this simulator's run for trace headers.
 func (s *Simulator) telemetryMeta() telemetry.Meta {
-	name := s.cfg.profileFor(0).Name
-	for i := 1; i < s.cfg.UserCores; i++ {
-		if p := s.cfg.profileFor(i); p.Name != name {
-			name = "mixed"
-			break
-		}
-	}
 	meta := telemetry.Meta{
-		Workload:  name,
+		Workload:  s.workloadName(),
 		Policy:    s.cfg.Policy.String(),
 		Threshold: s.cfg.Threshold,
 		UserCores: s.cfg.UserCores,
@@ -118,15 +111,16 @@ func (s *Simulator) runMeasureWithSeries() {
 	// total. (The interval anchor below is the *furthest* core — using
 	// it for termination too would end the run while slower cores were
 	// still short.)
+	prev := s.measureStart
 	for !s.allDone(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= total }) {
 		target := s.maxMeasured() + cadence
 		if target > total {
 			target = total
 		}
-		before := s.probe()
 		s.runUntil(func(u *userCtx) bool { return u.retired-u.retiredAtMeas >= target })
-		smp := s.sampleDelta(0, before)
-		s.trc.RecordInterval(s.intervalPoint(smp, target))
+		next := s.probe()
+		s.trc.RecordInterval(s.intervalPoint(sampleDelta(0, prev, next), target))
+		prev = next
 	}
 }
 
