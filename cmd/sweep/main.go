@@ -41,13 +41,13 @@ type Row struct {
 	EDP    float64 `json:"edp,omitempty"`
 }
 
-// plan is a parsed sweep command line: the defaulted grid, the OS-core
-// flags its grid points add, and the output options. parseArgs builds
-// every config the plan runs before the first simulation starts.
+// plan is a parsed sweep command line: the defaulted, expanded grid, the
+// OS-core flags its grid points add, and the output options. parseArgs
+// builds every config the plan runs before the first simulation starts.
 type plan struct {
-	req    cluster.SweepRequest // -workers is its Concurrency
-	osc    offloadsim.Spec      // the OS-core flags applied at every K
-	points int                  // grid points, the -os-cores axis included
+	req  cluster.SweepRequest // -workers is its Concurrency
+	grid []cluster.Point      // req's points, the -os-cores axis included
+	osc  offloadsim.Spec      // the OS-core flags applied at every K
 	// withOSCores adds the os_cores column: set when the -os-cores axis
 	// departs from the classic model, so legacy output stays unchanged.
 	withOSCores   bool
@@ -122,18 +122,16 @@ func parseArgs(args []string) (*plan, error) {
 	if *sampled {
 		req.Mode = "sampled"
 	}
-	req, grid, err := req.Expand()
-	if err != nil {
+	if pl.req, pl.grid, err = req.Expand(); err != nil {
 		// The fleet's errors carry the "sweep: " prefix main adds.
 		return nil, errors.New(strings.TrimPrefix(err.Error(), "sweep: "))
 	}
-	pl.req, pl.points = req, len(grid)
 	var points []cluster.Point // the baselines, then the grid
-	for _, wl := range req.Workloads {
+	for _, wl := range pl.req.Workloads {
 		points = append(points, cluster.BaselinePoint(wl))
 	}
-	pl.withOSCores = len(req.OSCores) != 1
-	for _, p := range append(points, grid...) {
+	pl.withOSCores = len(pl.req.OSCores) != 1
+	for _, p := range append(points, pl.grid...) {
 		cfg, err := pl.config(p)
 		if err != nil {
 			return nil, err
@@ -144,6 +142,9 @@ func parseArgs(args []string) (*plan, error) {
 		// The axis is the classic model alone, which K 0 builds too, so
 		// the points keep K 0 as on the wire: no column, no K in names.
 		pl.req.OSCores = nil
+		for i := range pl.grid {
+			pl.grid[i].OSCores = 0
+		}
 	}
 	return &pl, nil
 }
@@ -209,7 +210,7 @@ func oscoreAxis(list string) ([]int, error) {
 // wall time only; rows land in grid order, byte-identical at any
 // -workers.
 func rows(pl *plan) ([]Row, error) {
-	results := make([]offloadsim.Result, pl.points) // by grid index, for energy
+	results := make([]offloadsim.Result, len(pl.grid)) // by grid index, for energy
 	coord := cluster.Coordinator{RunPoint: func(_ context.Context, _ cluster.SweepRequest, p cluster.Point) ([]byte, error) {
 		res, err := pl.run(p)
 		if err != nil {
@@ -220,13 +221,10 @@ func rows(pl *plan) ([]Row, error) {
 		}
 		return json.Marshal(res)
 	}}
-	sw, err := coord.Start(context.Background(), "sweep", pl.req)
-	if err != nil {
-		return nil, err
-	}
+	sw := coord.Start(context.Background(), "sweep", pl.req, pl.grid)
 	model := offloadsim.DefaultEnergyModel()
-	out := make([]Row, 0, pl.points)
-	err = sw.Stream(context.Background(), func(pr *cluster.PointResult) error {
+	out := make([]Row, 0, len(pl.grid))
+	err := sw.Stream(context.Background(), func(pr *cluster.PointResult) error {
 		if pr.Row == nil {
 			return errors.New(pr.Error)
 		}

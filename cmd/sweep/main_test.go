@@ -158,8 +158,8 @@ func TestFlagErrorsBeforeSimulation(t *testing.T) {
 		"-workers 0":                             "-workers must be >= 1",
 		"-n 1,x":                                 "bad -n",
 		"-latencies x":                           "bad -latencies",
-		"-n -1":                                  "thresholds must be >= 0 (got -1)",
-		"-latencies -1":                          "latencies must be >= 0 (got -1)",
+		"-n -1":                                  "negative threshold -1",
+		"-latencies -1":                          "negative latency_cycles -1",
 		"-measure 0":                             "measure_instrs must be positive",
 		"-workloads ,":                           "workloads must be non-empty",
 		"-workloads nope":                        `unknown workload "nope"`,

@@ -17,7 +17,8 @@ import (
 // so expanding and running it is safe. No body reaches
 // the OS-core axis, so every point has K 0, and none the parallel
 // engine, so the mode is detailed or sampled (seed-3 is a refused
-// parallel body). The seed corpus is committed under testdata/fuzz.
+// parallel body, seed-9 a refused empty policy name). The seed corpus is
+// committed under testdata/fuzz.
 func FuzzSweepRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"offloadsim/internal/obs"
+	"offloadsim/internal/sim"
 )
 
 // ErrPeerBusy reports that a peer rejected work with 429 backpressure;
@@ -109,15 +110,19 @@ func (p *PeerClient) Load(ctx context.Context, base string) (LoadReport, error) 
 	return l, nil
 }
 
-// Execute runs specJSON (a sim.Spec document) on base via
-// POST /v1/peer/execute and blocks until the result JSON comes back.
+// Execute runs spec on base via POST /v1/peer/execute and blocks until
+// the result JSON comes back.
 // The receiving replica executes locally — no re-routing, no re-steal —
 // through its own queue and workers, so the work shows up in its
 // canonical queue metrics. 429 maps to ErrPeerBusy. A non-empty
 // traceparent rides along in the trace-propagation header, stitching the
 // remote execution into the caller's service trace
 // (docs/OBSERVABILITY.md).
-func (p *PeerClient) Execute(ctx context.Context, base string, specJSON []byte, traceparent string) ([]byte, error) {
+func (p *PeerClient) Execute(ctx context.Context, base string, spec sim.Spec, traceparent string) ([]byte, error) {
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/peer/execute", bytes.NewReader(specJSON))
 	if err != nil {
 		return nil, err

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"offloadsim/internal/sim"
 )
 
 // TestFetchResultSingleFlight hammers one (peer, key) pair from many
@@ -82,7 +84,7 @@ func TestExecuteBackpressure(t *testing.T) {
 	}))
 	defer ts.Close()
 	p := NewPeerClient(nil)
-	_, err := p.Execute(context.Background(), ts.URL, []byte(`{}`), "")
+	_, err := p.Execute(context.Background(), ts.URL, sim.Spec{}, "")
 	if !errors.Is(err, ErrPeerBusy) {
 		t.Errorf("429 mapped to %v, want ErrPeerBusy", err)
 	}

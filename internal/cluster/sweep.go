@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"offloadsim/internal/sim"
@@ -55,12 +56,15 @@ const DefaultSweepConcurrency = 8
 // unbounded cross product.
 const maxSweepPoints = 4096
 
-// withDefaults fills cmd/sweep's defaults and validates shape-level
-// constraints (per-point config validity is checked when each job spec
-// is built).
+// withDefaults fills cmd/sweep's defaults and checks the grid's shape:
+// its axes, the point cap and concurrency. Spec.Config checks the other
+// fields when Expand builds each point's config.
 func (r SweepRequest) withDefaults() (SweepRequest, error) {
 	if len(r.Workloads) == 0 {
 		return r, fmt.Errorf("sweep: workloads must be non-empty")
+	}
+	if slices.Contains(r.Policies, "") { // Spec.Config would run it as the default
+		return r, fmt.Errorf("sweep: empty policy name in policies")
 	}
 	if len(r.Policies) == 0 {
 		r.Policies = []string{"HI"}
@@ -81,16 +85,6 @@ func (r SweepRequest) withDefaults() (SweepRequest, error) {
 		}
 		points *= axis
 	}
-	for _, n := range r.Thresholds {
-		if n < 0 {
-			return r, fmt.Errorf("sweep: thresholds must be >= 0 (got %d)", n)
-		}
-	}
-	for _, l := range r.Latencies {
-		if l < 0 {
-			return r, fmt.Errorf("sweep: latencies must be >= 0 (got %d)", l)
-		}
-	}
 	if r.WarmupInstrs == nil {
 		w := uint64(1_000_000)
 		r.WarmupInstrs = &w
@@ -99,23 +93,9 @@ func (r SweepRequest) withDefaults() (SweepRequest, error) {
 		m := uint64(1_000_000)
 		r.MeasureInstrs = &m
 	}
-	if *r.MeasureInstrs == 0 {
-		return r, fmt.Errorf("sweep: measure_instrs must be positive")
-	}
 	if r.Seed == nil {
 		s := uint64(1)
 		r.Seed = &s
-	}
-	switch r.Mode {
-	case "", "detailed", "sampled":
-	default:
-		return r, fmt.Errorf("sweep: unknown mode %q (detailed, sampled)", r.Mode)
-	}
-	if r.Replicas < 0 || r.Replicas > sim.MaxReplicas {
-		return r, fmt.Errorf("sweep: replicas %d outside [0, %d]", r.Replicas, sim.MaxReplicas)
-	}
-	if r.Replicas > 1 && r.Mode != "sampled" {
-		return r, fmt.Errorf("sweep: replicas %d requires mode \"sampled\"", r.Replicas)
 	}
 	if r.Normalize == nil {
 		t := true
@@ -146,8 +126,8 @@ type Point struct {
 // thresholds × latencies × OS cores. The fleet's coordinator and
 // cmd/sweep both expand a grid through it, so one grid names the same
 // points offline and on the fleet, and both refuse a grid with a point
-// whose spec builds no config, such as an unknown workload or policy,
-// before anything runs.
+// whose spec builds no config, such as an unknown workload or a
+// negative threshold, before anything runs, with Spec.Config's message.
 func (r SweepRequest) Expand() (SweepRequest, []Point, error) {
 	r, err := r.withDefaults()
 	if err != nil {
@@ -204,7 +184,7 @@ func BaselinePoint(wl string) Point {
 func (r SweepRequest) PointSpec(p Point) sim.Spec {
 	n := p.Threshold
 	lat := p.Latency
-	spec := sim.Spec{
+	return sim.Spec{
 		Workload:      p.Workload,
 		Policy:        p.Policy,
 		Threshold:     &n,
@@ -213,12 +193,9 @@ func (r SweepRequest) PointSpec(p Point) sim.Spec {
 		MeasureInstrs: r.MeasureInstrs,
 		Seed:          r.Seed,
 		Mode:          r.Mode,
+		Replicas:      r.Replicas,
 		OSCores:       p.OSCores,
 	}
-	if r.Mode == "sampled" && r.Replicas > 0 {
-		spec.Replicas = r.Replicas
-	}
-	return spec
 }
 
 // Row is one sweep point's export row.
@@ -296,8 +273,8 @@ type Progress struct {
 // completion; cmd/sweep's simulates the point in process.
 type RunPointFunc func(ctx context.Context, req SweepRequest, p Point) ([]byte, error)
 
-// Coordinator decomposes sweep requests and drives their points
-// through RunPoint with bounded concurrency.
+// Coordinator drives expanded sweeps' points through RunPoint with
+// bounded concurrency.
 type Coordinator struct {
 	RunPoint RunPointFunc
 }
@@ -319,15 +296,11 @@ type Sweep struct {
 	finished chan struct{}   // closed when every point is terminal
 }
 
-// Start validates req, expands its grid and launches execution on ctx
-// (which should outlive the submitting request: a sweep keeps running
-// if the streaming client disconnects — its results land in the fleet
-// cache either way).
-func (c *Coordinator) Start(ctx context.Context, id string, req SweepRequest) (*Sweep, error) {
-	req, points, err := req.Expand()
-	if err != nil {
-		return nil, err
-	}
+// Start launches the execution of req and points, Expand's output, on
+// ctx (which should outlive the submitting request: a sweep keeps
+// running if the streaming client disconnects — its results land in the
+// fleet cache either way).
+func (c *Coordinator) Start(ctx context.Context, id string, req SweepRequest, points []Point) *Sweep {
 	s := &Sweep{
 		ID:       id,
 		Req:      req,
@@ -340,7 +313,7 @@ func (c *Coordinator) Start(ctx context.Context, id string, req SweepRequest) (*
 		s.ready[i] = make(chan struct{})
 	}
 	go s.run(ctx, c.RunPoint)
-	return s, nil
+	return s
 }
 
 // run issues the grid in index order with at most Req.Concurrency

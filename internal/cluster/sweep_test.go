@@ -33,19 +33,27 @@ func fakeRunPoint(t *testing.T, calls map[string]int, mu *sync.Mutex) RunPointFu
 	}
 }
 
+// start expands req and starts it on c, failing the test if Expand
+// refuses it.
+func start(t *testing.T, ctx context.Context, c *Coordinator, id string, req SweepRequest) *Sweep {
+	t.Helper()
+	req, points, err := req.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Start(ctx, id, req, points)
+}
+
 func TestSweepCoordinatorStreamsInOrder(t *testing.T) {
 	calls := map[string]int{}
 	var mu sync.Mutex
 	c := &Coordinator{RunPoint: fakeRunPoint(t, calls, &mu)}
-	s, err := c.Start(context.Background(), "s-1", SweepRequest{
+	s := start(t, context.Background(), c, "s-1", SweepRequest{
 		Workloads:  []string{"apache", "derby"},
 		Policies:   []string{"HI", "SI"},
 		Thresholds: []int{100, 1000},
 		Latencies:  []int{100},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s.Total() != 8 {
 		t.Fatalf("Total = %d, want 8", s.Total())
 	}
@@ -100,14 +108,11 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		return json.Marshal(sim.Result{Workload: p.Workload, Policy: p.Policy, Throughput: 1})
 	}}
 	norm := false
-	s, err := c.Start(context.Background(), "s-2", SweepRequest{
+	s := start(t, context.Background(), c, "s-2", SweepRequest{
 		Workloads:  []string{"apache", "derby"},
 		Thresholds: []int{100},
 		Normalize:  &norm,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var lines []*PointResult
@@ -138,6 +143,7 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		{},
 		{Workloads: []string{"apache", "nope"}},
 		{Workloads: []string{"apache"}, Policies: []string{"HI", "warp"}},
+		{Workloads: []string{"apache"}, Policies: []string{"HI", ""}},
 		{Workloads: []string{"apache"}, Thresholds: []int{-1}},
 		{Workloads: []string{"apache"}, Latencies: []int{-5}},
 		{Workloads: []string{"apache"}, Mode: "warp"},
@@ -151,7 +157,7 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		{Workloads: make([]string, 1000), Policies: make([]string, 1000),
 			Thresholds: make([]int, 1000), Latencies: make([]int, 1000)},
 	} {
-		if _, err := c.Start(context.Background(), "s-x", bad); err == nil {
+		if _, _, err := bad.Expand(); err == nil {
 			t.Errorf("invalid request with %d workloads, %d thresholds accepted",
 				len(bad.Workloads), len(bad.Thresholds))
 		}
@@ -161,8 +167,8 @@ func TestSweepCoordinatorFailuresAndValidation(t *testing.T) {
 		Latencies: make([]int, 32)}).Expand(); err != nil {
 		t.Errorf("grid of %d points rejected: %v", maxSweepPoints, err)
 	}
-	if _, err := (SweepRequest{Workloads: []string{"apache"}, Mode: "sampled",
-		Replicas: sim.MaxReplicas}).withDefaults(); err != nil {
+	if _, _, err := (SweepRequest{Workloads: []string{"apache"}, Mode: "sampled",
+		Replicas: sim.MaxReplicas}).Expand(); err != nil {
 		t.Errorf("%d replicas rejected: %v", sim.MaxReplicas, err)
 	}
 }
@@ -187,14 +193,11 @@ func TestSweepBaselineFailurePropagates(t *testing.T) {
 			}
 			return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
 		}}
-		s, err := c.Start(context.Background(), "s-3", SweepRequest{
+		s := start(t, context.Background(), c, "s-3", SweepRequest{
 			Workloads:   []string{"derby", "apache"},
 			Thresholds:  []int{100, 1000},
 			Concurrency: conc,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var lines []*PointResult
 		if err := s.Stream(ctx, func(pr *PointResult) error { lines = append(lines, pr); return nil }); err != nil {
@@ -244,13 +247,10 @@ func TestSweepProgressCountsIssuedPoints(t *testing.T) {
 		}
 		return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
 	}}
-	s, err := c.Start(ctx, "s-4", SweepRequest{
+	s := start(t, ctx, c, "s-4", SweepRequest{
 		Workloads:  []string{"apache", "derby"},
 		Thresholds: []int{100, 1000},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Points 2 and 3 are derby's; the apache points 0 and 1 block.
 	for _, i := range []int{2, 3} {
 		select {
@@ -297,17 +297,14 @@ func TestSweepStreamsBeforeLaterBaselines(t *testing.T) {
 		}
 		return json.Marshal(res)
 	}}
-	s, err := c.Start(ctx, "s-5", SweepRequest{
+	s := start(t, ctx, c, "s-5", SweepRequest{
 		Workloads:  []string{"apache", "derby"},
 		Thresholds: []int{100, 1000},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
 	defer scancel()
 	var lines []*PointResult
-	err = s.Stream(sctx, func(pr *PointResult) error {
+	err := s.Stream(sctx, func(pr *PointResult) error {
 		lines = append(lines, pr)
 		if len(lines) == 2 {
 			close(apacheRows)
@@ -344,13 +341,10 @@ func TestSweepIssuesInIndexOrder(t *testing.T) {
 		}
 		return json.Marshal(sim.Result{Policy: p.Policy, Throughput: 1})
 	}}
-	s, err := c.Start(ctx, "s-7", SweepRequest{
+	s := start(t, ctx, c, "s-7", SweepRequest{
 		Workloads:  []string{"apache", "derby"},
 		Thresholds: []int{100, 1000},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []string{
 		"apache/baseline/1000", "apache/HI/100", "apache/HI/1000",
 		"derby/baseline/1000", "derby/HI/100", "derby/HI/1000",
@@ -379,10 +373,7 @@ func TestSweepRepeatedWorkloadOneBaseline(t *testing.T) {
 	calls := map[string]int{}
 	var mu sync.Mutex
 	c := &Coordinator{RunPoint: fakeRunPoint(t, calls, &mu)}
-	s, err := c.Start(context.Background(), "s-6", SweepRequest{Workloads: []string{"apache", "apache"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := start(t, context.Background(), c, "s-6", SweepRequest{Workloads: []string{"apache", "apache"}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var lines []*PointResult

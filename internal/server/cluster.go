@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -116,42 +114,38 @@ func (s *Server) shouldSteal() bool {
 // correctness dependency.
 func (s *Server) stealOrRun(j *job) {
 	selfScore := int64(s.queue.depth()) + s.metrics.JobsRunning.Load()
-	victim, ok := s.cluster.stealer.Victim(s.baseCtx, selfScore)
-	if ok {
-		specJSON, err := json.Marshal(j.spec)
-		if err == nil {
-			ctx := s.baseCtx
-			if s.opts.JobTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
-				defer cancel()
-			}
-			s.metrics.JobsStolen.Add(1)
-			push := s.obs.StartSpan(j.tctx, "steal_push")
-			push.SetJob(j.id)
-			push.SetAttr("victim", victim)
-			res, err := s.cluster.client.Execute(ctx, victim, specJSON, push.Context().Traceparent())
-			if err == nil {
-				push.End()
-				s.finishJob(j, res, nil, "")
-				return
-			}
-			// The victim bounced (full queue, drain, network): fall
-			// through to local execution.
-			push.SetError(err.Error())
-			push.End()
-			s.log.Warn("steal push failed, running locally", append(obs.LogContext(j.tctx),
-				slog.String("job", j.id), slog.String("victim", victim), slog.String("error", err.Error()))...)
+	if victim, ok := s.cluster.stealer.Victim(s.baseCtx, selfScore); ok {
+		ctx := s.baseCtx
+		if s.opts.JobTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
+			defer cancel()
 		}
+		s.metrics.JobsStolen.Add(1)
+		push := s.obs.StartSpan(j.tctx, "steal_push")
+		push.SetJob(j.id)
+		push.SetAttr("victim", victim)
+		res, err := s.cluster.client.Execute(ctx, victim, j.spec, push.Context().Traceparent())
+		if err == nil {
+			push.End()
+			s.finishJob(j, res, nil, "")
+			return
+		}
+		// The victim bounced (full queue, drain, network): fall through
+		// to local execution.
+		push.SetError(err.Error())
+		push.End()
+		s.log.Warn("steal push failed, running locally", append(obs.LogContext(j.tctx),
+			slog.String("job", j.id), slog.String("victim", victim), slog.String("error", err.Error()))...)
 	}
 	s.enqueueBlocking(j)
 }
 
 // enqueueBlocking pushes an already-admitted job onto the local queue,
-// waiting out transient fullness. Unlike Submit-time admission (which
-// rejects with 429), the job here was already accepted — failing it
-// because a steal attempt raced a full queue would turn backpressure
-// into data loss.
+// waiting out transient fullness: a job whose steal failed, or a sweep
+// point admitted against a full queue (submitOpts.wait). It is the only
+// loop that waits for queue room. The job was already accepted, so
+// failing it here would turn backpressure into data loss.
 func (s *Server) enqueueBlocking(j *job) {
 	for {
 		s.mu.Lock()
@@ -183,7 +177,7 @@ func (s *Server) enqueueBlocking(j *job) {
 // the peer client.
 func (s *Server) tryPeerFetch(j *job) ([]byte, bool) {
 	c := s.cluster
-	if c == nil || j.trace {
+	if c == nil || j.spec.Trace {
 		return nil, false
 	}
 	owner := c.owner(j.key)
@@ -260,46 +254,31 @@ func (s *Server) handlePeerExecute(w http.ResponseWriter, r *http.Request) {
 		exec = s.obs.StartSpan(parent, "peer_execute")
 		sc = exec.Context()
 	}
-	fail := func(status string) {
-		if exec != nil {
-			exec.SetError(status)
-			exec.End()
-		}
+	var st JobStatus
+	req, err := newRequest(spec)
+	if err == nil {
+		st, err = s.submit(req, submitOpts{internal: true, sc: sc})
 	}
-	st, err := s.submit(spec, submitOpts{internal: true, sc: sc})
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		fail(err.Error())
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-		return
-	case errors.Is(err, ErrDraining):
-		fail(err.Error())
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		return
-	case err != nil:
-		fail(err.Error())
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	if exec != nil {
-		exec.SetJob(st.ID)
-	}
-	s.metrics.PeerExecutes.Add(1)
-	if _, err := s.Wait(r.Context(), st.ID); err != nil {
-		fail("peer execute interrupted: " + err.Error())
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "peer execute interrupted: " + err.Error()})
-		return
-	}
-	res, fin, _ := s.Result(st.ID)
-	if fin.State != StateDone {
-		fail(fin.Error)
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: fin.Error})
-		return
-	}
-	if exec != nil {
+	if err != nil {
+		exec.SetError(err.Error())
 		exec.End()
+		refuse(w, err)
+		return
 	}
+	exec.SetJob(st.ID)
+	s.metrics.PeerExecutes.Add(1)
+	res, err := s.awaitResult(r.Context(), st.ID)
+	if err != nil {
+		code := http.StatusInternalServerError
+		if r.Context().Err() != nil {
+			code, err = http.StatusGatewayTimeout, fmt.Errorf("peer execute interrupted: %w", err)
+		}
+		exec.SetError(err.Error())
+		exec.End()
+		writeJSON(w, code, apiError{Error: err.Error()})
+		return
+	}
+	exec.End()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res)

@@ -15,9 +15,11 @@ import (
 // through admission (JobSpec.Config). Nothing may panic, and an admitted
 // spec must canonicalize to a cache key with every allocation size the
 // body controls (OS-core slots and L1s, replicas, cores) inside its
-// admission bound. No admitted spec runs the parallel engine. The seed
-// corpus, valid and invalid bodies of every mode (seed-3 is a refused
-// parallel body), is committed under testdata/fuzz.
+// admission bound; the body's replicas are bounded in every mode. No
+// admitted spec runs the parallel engine. The seed corpus, valid and
+// invalid bodies of every mode (seed-3 is a refused parallel body,
+// seed-13 a detailed body with negative replicas), is committed under
+// testdata/fuzz.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec JobSpec
@@ -43,8 +45,9 @@ func FuzzJobSpec(f *testing.F) {
 		if cfg.OSCoreSlots > sim.MaxOSCores {
 			t.Fatalf("admitted spec %s: %d OS-core slots above %d", body, cfg.OSCoreSlots, sim.MaxOSCores)
 		}
-		if cc.Sampling.Replicas > sim.MaxReplicas {
-			t.Fatalf("admitted spec %s: %d replicas above %d", body, cc.Sampling.Replicas, sim.MaxReplicas)
+		if spec.Replicas < 0 || spec.Replicas > sim.MaxReplicas || cc.Sampling.Replicas > sim.MaxReplicas {
+			t.Fatalf("admitted spec %s: replicas %d (sampling %d) outside [0, %d]",
+				body, spec.Replicas, cc.Sampling.Replicas, sim.MaxReplicas)
 		}
 		if n := cc.Coherence.NumNodes; n < 1 || n > coherence.MaxNodes {
 			t.Fatalf("admitted spec %s: %d user + OS cores outside [1, %d]", body, n, coherence.MaxNodes)

@@ -109,19 +109,33 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) ([]b
 	return body, true
 }
 
+// refuse answers every admission error of the three POST routes and
+// returns the code: 429 with Retry-After for a full queue, 503 while
+// draining, 400 otherwise (an invalid spec or sweep).
+func refuse(w http.ResponseWriter, err error) int {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		code = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, ErrDraining):
+		code = http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, apiError{Error: err.Error()})
+	return code
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec sim.Spec
 	body, ok := decodeBody(w, r, "job spec", &spec)
 	if !ok {
 		return
 	}
-	// The canonical key is needed twice — ring routing and trace-ID
-	// derivation — so compute it once. Invalid specs skip both (they are
-	// never forwarded and never traced); Submit reproduces the 400.
-	var key string
-	cfg, cfgErr := spec.Config()
-	if cfgErr == nil {
-		key, cfgErr = sim.CanonicalKey(cfg)
+	// An invalid spec is answered here: it is never forwarded or traced.
+	req, err := newRequest(spec)
+	if err != nil {
+		refuse(w, err)
+		return
 	}
 	internal := r.Header.Get(internalHeader) != ""
 
@@ -129,17 +143,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// first replica's traceparent, so the owner's request span nests under
 	// the forwarder's peer_forward span instead of opening a second trace.
 	var reqSpan *obs.ActiveSpan
-	if s.obs != nil && cfgErr == nil {
+	if s.obs != nil {
 		parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
 		if !ok {
-			parent = obs.RootContext(obs.TraceID(key, s.admissions.Add(1)))
+			parent = obs.RootContext(obs.TraceID(req.key, s.admissions.Add(1)))
 		}
 		reqSpan = s.obs.StartSpan(parent, "request")
 	}
 	sc := reqSpan.Context()
 
-	if s.cluster != nil && cfgErr == nil {
-		owner := s.cluster.owner(key)
+	if s.cluster != nil {
+		owner := s.cluster.owner(req.key)
 		route, rrStatus, rrErr := "local", obs.StatusOK, ""
 		if owner != s.cluster.self {
 			if internal {
@@ -169,38 +183,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	st, err := s.submit(spec, submitOpts{sc: sc})
-	finishReq := func(code int, errMsg string) {
-		if reqSpan == nil {
-			return
-		}
-		reqSpan.SetAttr("code", strconv.Itoa(code))
-		if errMsg != "" {
-			reqSpan.SetError(errMsg)
-		}
-		reqSpan.End()
-	}
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		finishReq(http.StatusTooManyRequests, err.Error())
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-		return
-	case errors.Is(err, ErrDraining):
-		finishReq(http.StatusServiceUnavailable, err.Error())
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		return
-	case err != nil:
-		finishReq(http.StatusBadRequest, err.Error())
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
+	st, err := s.submit(req, submitOpts{sc: sc})
 	code := http.StatusAccepted
-	if st.Cached {
+	switch {
+	case err != nil:
+		code = refuse(w, err)
+	case st.Cached:
 		code = http.StatusOK // served from cache, already done
 	}
-	finishReq(code, "")
-	writeJSON(w, code, st)
+	reqSpan.SetAttr("code", strconv.Itoa(code))
+	if err != nil {
+		reqSpan.SetError(err.Error())
+	}
+	reqSpan.End()
+	if err == nil {
+		writeJSON(w, code, st)
+	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

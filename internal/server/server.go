@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -180,7 +181,33 @@ func (s *Server) Start() {
 // (work-stealing). ErrQueueFull and ErrDraining report backpressure and
 // shutdown; other errors are invalid specs.
 func (s *Server) Submit(spec sim.Spec) (JobStatus, error) {
-	return s.submit(spec, submitOpts{})
+	req, err := newRequest(spec)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return s.submit(req, submitOpts{})
+}
+
+// request is a spec translated once, where it enters the server, into
+// the config and canonical key that routing, admission and execution use.
+type request struct {
+	spec sim.Spec
+	cfg  sim.Config
+	key  string
+}
+
+// newRequest builds spec's config and canonical key; its error is the
+// 400 an invalid spec gets.
+func newRequest(spec sim.Spec) (request, error) {
+	cfg, err := spec.Config()
+	if err != nil {
+		return request{}, fmt.Errorf("invalid job spec: %w", err)
+	}
+	key, err := sim.CanonicalKey(cfg)
+	if err != nil {
+		return request{}, fmt.Errorf("invalid job spec: %w", err)
+	}
+	return request{spec: spec, cfg: cfg, key: key}, nil
 }
 
 // submitOpts distinguishes replica-to-replica work from client work.
@@ -192,18 +219,13 @@ type submitOpts struct {
 	// sc is the caller's trace position (HTTP request span, peer_execute
 	// span, sweep point). Invalid starts a fresh trace at admission.
 	sc obs.SpanContext
+	// wait admits the job against a full queue, to wait for room in
+	// enqueueBlocking rather than be refused: a sweep point is a batch
+	// caller, not a client to push back on.
+	wait bool
 }
 
-func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
-	cfg, err := spec.Config()
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("invalid job spec: %w", err)
-	}
-	key, err := sim.CanonicalKey(cfg)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("invalid job spec: %w", err)
-	}
-
+func (s *Server) submit(req request, opt submitOpts) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -211,11 +233,8 @@ func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
 	}
 	s.seq++
 	j := &job{
+		request:     req,
 		id:          fmt.Sprintf("j-%08d", s.seq),
-		key:         key,
-		spec:        spec,
-		cfg:         cfg,
-		trace:       spec.Trace,
 		state:       StateQueued,
 		submittedAt: s.now(),
 		done:        make(chan struct{}),
@@ -230,7 +249,7 @@ func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
 	if s.obs != nil {
 		parent := opt.sc
 		if !parent.Valid() {
-			parent = obs.RootContext(obs.TraceID(key, s.admissions.Add(1)))
+			parent = obs.RootContext(obs.TraceID(j.key, s.admissions.Add(1)))
 		}
 		adm = s.obs.StartSpan(parent, "admission")
 		adm.SetJob(j.id)
@@ -239,10 +258,8 @@ func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
 		}
 		j.tctx = adm.Context()
 	}
-	finishAdm := func(outcome string, err error) {
-		if adm == nil {
-			return
-		}
+	outcome, err := s.place(j, opt)
+	if adm != nil {
 		adm.SetAttr("outcome", outcome)
 		if err != nil {
 			adm.SetError(err.Error())
@@ -251,90 +268,86 @@ func (s *Server) submit(spec sim.Spec, opt submitOpts) (JobStatus, error) {
 		s.log.Debug("job admitted", append(obs.LogContext(j.tctx),
 			slog.String("job", j.id), slog.String("outcome", outcome))...)
 	}
-
-	if j.trace {
-		// A trace job must actually simulate: a cached result document
-		// has no event timeline, and a coalesced waiter would inherit a
-		// result without one. It bypasses the cache-hit and coalescing
-		// paths entirely (and never registers under pending, so identical
-		// untraced jobs coalesce among themselves as usual), but its
-		// result still back-fills the shared cache on completion.
-		if !s.queue.tryPush(j) {
-			s.metrics.JobsRejected.Add(1)
-			finishAdm("rejected", ErrQueueFull)
-			return JobStatus{}, ErrQueueFull
-		}
-		s.jobs[j.id] = j
-		s.metrics.JobsSubmitted.Add(1)
-		s.metrics.CacheMisses.Add(1)
-		s.metrics.QueueDepth.Add(1)
-		finishAdm("enqueued_trace", nil)
-		return s.stamp(j.status()), nil
-	}
-
-	var lookupStart time.Time
-	if s.obs != nil {
-		lookupStart = s.now()
-	}
-	res, hit := s.cache.get(key)
-	if s.obs != nil {
-		outcome := "miss"
-		if hit {
-			outcome = "hit"
-		}
-		s.obs.RecordSpan(j.tctx, "cache_lookup", j.id, lookupStart, s.now(),
-			obs.StatusOK, "", map[string]string{"tier": "local", "outcome": outcome})
-	}
-	if hit {
-		s.jobs[j.id] = j
-		j.cached = true
-		s.completeLocked(j, res, "")
-		s.metrics.JobsSubmitted.Add(1)
-		s.metrics.CacheHits.Add(1)
-		finishAdm("cache_hit", nil)
-		return s.stamp(j.status()), nil
-	}
-
-	if waiters, ok := s.pending[key]; ok {
-		// An identical config is already queued or running: share its
-		// outcome instead of simulating twice.
-		s.jobs[j.id] = j
-		j.coalesced = true
-		s.pending[key] = append(waiters, j)
-		s.metrics.JobsSubmitted.Add(1)
-		s.metrics.CacheMisses.Add(1)
-		s.metrics.JobsCoalesced.Add(1)
-		finishAdm("coalesced", nil)
-		return s.stamp(j.status()), nil
-	}
-
-	if !opt.internal && s.shouldSteal() {
-		// The queue has grown past the steal threshold: offer the job to
-		// the least-loaded peer instead of queueing it here. It still
-		// registers under pending, so identical specs coalesce behind it,
-		// and any steal failure re-enters the local queue (cluster.go).
-		s.jobs[j.id] = j
-		s.pending[key] = []*job{j}
-		j.stolen = true
-		s.metrics.JobsSubmitted.Add(1)
-		s.metrics.CacheMisses.Add(1)
-		finishAdm("steal_offered", nil)
-		go s.stealOrRun(j)
-		return s.stamp(j.status()), nil
-	}
-
-	if !s.queue.tryPush(j) {
-		s.metrics.JobsRejected.Add(1)
-		finishAdm("rejected", ErrQueueFull)
-		return JobStatus{}, ErrQueueFull
+	if err != nil {
+		return JobStatus{}, err
 	}
 	s.jobs[j.id] = j
-	s.pending[key] = []*job{j}
 	s.metrics.JobsSubmitted.Add(1)
-	s.metrics.CacheMisses.Add(1)
-	s.metrics.QueueDepth.Add(1)
-	finishAdm("enqueued", nil)
+	if j.cached {
+		s.metrics.CacheHits.Add(1)
+	} else {
+		s.metrics.CacheMisses.Add(1)
+	}
 	return s.stamp(j.status()), nil
+}
+
+// place sends admitted job j to the cache, an identical in-flight job,
+// a peer or the local queue, and returns its admission outcome. Caller
+// holds s.mu.
+//
+// A trace job must actually simulate: a cached result document has no
+// event timeline, and a coalesced waiter would inherit a result without
+// one. It goes straight to the queue and never registers under pending,
+// so identical untraced jobs coalesce among themselves as usual, but its
+// result still back-fills the shared cache on completion.
+func (s *Server) place(j *job, opt submitOpts) (string, error) {
+	if !j.spec.Trace {
+		var lookupStart time.Time
+		if s.obs != nil {
+			lookupStart = s.now()
+		}
+		res, hit := s.cache.get(j.key)
+		if s.obs != nil {
+			outcome := "miss"
+			if hit {
+				outcome = "hit"
+			}
+			s.obs.RecordSpan(j.tctx, "cache_lookup", j.id, lookupStart, s.now(),
+				obs.StatusOK, "", map[string]string{"tier": "local", "outcome": outcome})
+		}
+		if hit {
+			j.cached = true
+			s.completeLocked(j, res, "")
+			return "cache_hit", nil
+		}
+		if waiters, ok := s.pending[j.key]; ok {
+			// An identical config is already queued or running: share its
+			// outcome instead of simulating twice.
+			j.coalesced = true
+			s.pending[j.key] = append(waiters, j)
+			s.metrics.JobsCoalesced.Add(1)
+			return "coalesced", nil
+		}
+		if !opt.internal && s.shouldSteal() {
+			// The queue has grown past the steal threshold: offer the job to
+			// the least-loaded peer instead of queueing it here. It still
+			// registers under pending, so identical specs coalesce behind it,
+			// and any steal failure re-enters the local queue (cluster.go).
+			s.pending[j.key] = []*job{j}
+			j.stolen = true
+			go s.stealOrRun(j)
+			return "steal_offered", nil
+		}
+	}
+
+	outcome := "enqueued"
+	if j.spec.Trace {
+		outcome = "enqueued_trace"
+	}
+	switch {
+	case s.queue.tryPush(j):
+		s.metrics.QueueDepth.Add(1)
+	case opt.wait:
+		outcome = "enqueue_waiting"
+		go s.enqueueBlocking(j)
+	default:
+		s.metrics.JobsRejected.Add(1)
+		return "rejected", ErrQueueFull
+	}
+	if !j.spec.Trace {
+		s.pending[j.key] = []*job{j}
+	}
+	return outcome, nil
 }
 
 // Status returns the current status of job id.
@@ -390,6 +403,19 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
+}
+
+// awaitResult waits for job id and returns its result document, or the
+// job's error if it failed.
+func (s *Server) awaitResult(ctx context.Context, id string) ([]byte, error) {
+	if _, err := s.Wait(ctx, id); err != nil {
+		return nil, err
+	}
+	res, fin, _ := s.Result(id)
+	if fin.State != StateDone {
+		return nil, errors.New(fin.Error)
+	}
+	return res, nil
 }
 
 // Draining reports whether shutdown has begun.
@@ -465,7 +491,7 @@ func (s *Server) execute(j *job) {
 	} else {
 		s.metrics.JobsDetailed.Add(1)
 	}
-	if j.trace {
+	if j.spec.Trace {
 		s.metrics.JobsTraced.Add(1)
 	}
 
@@ -490,7 +516,7 @@ func (s *Server) execute(j *job) {
 	simStart := s.now()
 	ch := make(chan outcome, 1)
 	go func() {
-		if j.trace {
+		if j.spec.Trace {
 			res, cap, err := s.runTraced(j.cfg, j.telemetryOpts())
 			ch <- outcome{res, cap, err}
 			return
@@ -555,7 +581,7 @@ func (s *Server) finishJob(j *job, resBytes []byte, capture *telemetry.Capture, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.trace {
+	if j.spec.Trace {
 		j.capture = capture
 		s.completeLocked(j, resBytes, errMsg)
 		return

@@ -469,6 +469,8 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Workload: "apache", OSL1KB: 1 << 30},
 		{Workload: "apache", Mode: "sampled", Replicas: sim.MaxReplicas + 1},
 		{Workload: "apache", Mode: "sampled", Replicas: 1 << 30},
+		// Replicas are bounded in every mode.
+		{Workload: "apache", Replicas: -3},
 		// User cores plus OS cores past the coherence node limit.
 		{Workload: "apache", Cores: 100},
 		{Workload: "apache", Cores: math.MaxInt},
@@ -587,6 +589,96 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	}
 	if got := srv.Metrics().JobsSubmitted.Load(); got != 0 {
 		t.Errorf("invalid specs counted as submitted: %d", got)
+	}
+}
+
+// TestRefusedSweepTakesNoID: a sweep refused with a 400 takes no sweep
+// id, so the first accepted sweep is s-00000001 and the only one
+// offsimd_sweeps_total counts.
+func TestRefusedSweepTakesNoID(t *testing.T) {
+	srv := New(Options{QueueSize: 8, Workers: 1})
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(body string) *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body) // the accepted sweep's whole stream
+		resp.Body.Close()
+		return resp
+	}
+	for _, body := range []string{
+		`{"workloads":["apache","nope"]}`,
+		`{"workloads":["apache"],"policies":["HI","warp"]}`,
+	} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp := post(`{"workloads":["apache"],"warmup_instrs":0,"measure_instrs":20000,"normalize":false}`)
+	if id := resp.Header.Get("X-Offsimd-Sweep-Id"); resp.StatusCode != http.StatusOK || id != "s-00000001" {
+		t.Errorf("accepted sweep after two refusals: HTTP %d, id %q, want 200 and s-00000001", resp.StatusCode, id)
+	}
+	if got := scrapeMetrics(t, ts)["offsimd_sweeps_total"]; got != 1 {
+		t.Errorf("offsimd_sweeps_total = %v, want 1", got)
+	}
+}
+
+// TestSweepPointWaitsForQueueRoom: a local sweep point meeting a full
+// queue is admitted once and waits for room: it is never refused, so it
+// takes one job id and adds nothing to offsimd_jobs_rejected_total, and
+// it completes once the queue drains.
+func TestSweepPointWaitsForQueueRoom(t *testing.T) {
+	srv, release, _ := blockingServer(t, Options{QueueSize: 1, Workers: 1})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+		srv.Shutdown(context.Background())
+	}()
+	// One job blocks the worker, the next fills the queue.
+	if _, err := srv.Submit(smallSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitForCondition(t, time.Second, func() bool { return srv.Metrics().JobsRunning.Load() == 1 })
+	if _, err := srv.Submit(smallSpec(2)); err != nil {
+		t.Fatal(err)
+	}
+	norm := false
+	sw, err := srv.StartSweep(cluster.SweepRequest{Workloads: []string{"apache"}, Normalize: &norm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func() uint64 {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.seq
+	}
+	waitForCondition(t, time.Second, func() bool { return ids() == 3 })
+	time.Sleep(200 * time.Millisecond)
+	if got := srv.Metrics().JobsRejected.Load(); got != 0 {
+		t.Errorf("jobs_rejected_total = %d while the sweep point waited, want 0", got)
+	}
+	if got := ids(); got != 3 {
+		t.Errorf("%d job ids taken, want 3 (two jobs and the sweep point)", got)
+	}
+
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sw.Stream(ctx, func(pr *cluster.PointResult) error {
+		if pr.Status != "done" {
+			t.Errorf("sweep point %+v, want done", pr)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"offloadsim/internal/cluster"
 	"offloadsim/internal/obs"
-	"offloadsim/internal/sim"
 )
 
 // sweepHeader is the first NDJSON line of POST /v1/sweeps.
@@ -19,18 +18,13 @@ type sweepHeader struct {
 	Points  int    `json:"points"`
 }
 
-// runSweepPoint executes one grid point fleet-wide: it computes the
-// point's canonical key, routes to the ring owner (synchronous peer
-// execute), and falls back to local execution when the fleet cannot
-// help. Either way the result document is the same bytes — routing is
-// a performance decision, never a correctness one.
-func (s *Server) runSweepPoint(ctx context.Context, req cluster.SweepRequest, p cluster.Point) ([]byte, error) {
-	spec := req.PointSpec(p)
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
-	key, err := sim.CanonicalKey(cfg)
+// runSweepPoint executes one grid point fleet-wide: it translates the
+// point's spec, routes it to the ring owner (synchronous peer execute),
+// and falls back to local execution when the fleet cannot help. Either
+// way the result document is the same bytes — routing is a performance
+// decision, never a correctness one.
+func (s *Server) runSweepPoint(ctx context.Context, sreq cluster.SweepRequest, p cluster.Point) ([]byte, error) {
+	req, err := newRequest(sreq.PointSpec(p))
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +37,7 @@ func (s *Server) runSweepPoint(ctx context.Context, req cluster.SweepRequest, p 
 		name, ord := "sweep_point", p.Index
 		if p.Index < 0 {
 			name, ord = "sweep_baseline", 0
-			for i, wl := range req.Workloads {
+			for i, wl := range sreq.Workloads {
 				if wl == p.Workload {
 					ord = i
 					break
@@ -54,27 +48,21 @@ func (s *Server) runSweepPoint(ctx context.Context, req cluster.SweepRequest, p 
 		ps.SetAttr("workload", p.Workload)
 		ps.SetAttr("policy", p.Policy)
 	}
-	b, err := s.routeSweepPoint(ctx, spec, key, ps.Context())
-	if ps != nil {
-		if err != nil {
-			ps.SetError(err.Error())
-		}
-		ps.End()
+	b, err := s.routeSweepPoint(ctx, req, ps.Context())
+	if err != nil {
+		ps.SetError(err.Error())
 	}
+	ps.End()
 	return b, err
 }
 
 // routeSweepPoint sends one decomposed point to its ring owner, falling
 // back to local execution when the fleet cannot help.
-func (s *Server) routeSweepPoint(ctx context.Context, spec sim.Spec, key string, sc obs.SpanContext) ([]byte, error) {
+func (s *Server) routeSweepPoint(ctx context.Context, req request, sc obs.SpanContext) ([]byte, error) {
 	if c := s.cluster; c != nil {
-		if owner := c.owner(key); owner != c.self {
-			specJSON, err := json.Marshal(spec)
-			if err != nil {
-				return nil, err
-			}
+		if owner := c.owner(req.key); owner != c.self {
 			for attempt := 0; ; attempt++ {
-				b, err := c.client.Execute(ctx, owner, specJSON, sc.Traceparent())
+				b, err := c.client.Execute(ctx, owner, req.spec, sc.Traceparent())
 				if err == nil {
 					return b, nil
 				}
@@ -94,47 +82,22 @@ func (s *Server) routeSweepPoint(ctx context.Context, spec sim.Spec, key string,
 			}
 		}
 	}
-	return s.runPointLocal(ctx, spec, sc)
-}
-
-// runPointLocal submits spec to this replica's own queue (honoring
-// backpressure by waiting, not failing: a sweep is a batch client) and
-// returns the finished result document.
-func (s *Server) runPointLocal(ctx context.Context, spec sim.Spec, sc obs.SpanContext) ([]byte, error) {
-	var st JobStatus
-	for {
-		var err error
-		st, err = s.submit(spec, submitOpts{sc: sc})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if _, err := s.Wait(ctx, st.ID); err != nil {
+	st, err := s.submit(req, submitOpts{sc: sc, wait: true})
+	if err != nil {
 		return nil, err
 	}
-	res, fin, ok := s.Result(st.ID)
-	if !ok {
-		return nil, fmt.Errorf("sweep job %s vanished", st.ID)
-	}
-	if fin.State != StateDone {
-		return nil, fmt.Errorf("sweep job %s failed: %s", st.ID, fin.Error)
-	}
-	return res, nil
+	return s.awaitResult(ctx, st.ID)
 }
 
-// StartSweep validates req, registers a new sweep and launches its
-// execution on the server's base context — a sweep outlives the
-// submitting HTTP request, because its results belong to the fleet
-// cache either way.
+// StartSweep expands req, so a refused sweep takes no id, registers a
+// new sweep and launches it on the server's base context — a sweep
+// outlives the submitting HTTP request, because its results belong to
+// the fleet cache either way.
 func (s *Server) StartSweep(req cluster.SweepRequest) (*cluster.Sweep, error) {
+	req, points, err := req.Expand()
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -155,14 +118,7 @@ func (s *Server) StartSweep(req cluster.SweepRequest) (*cluster.Sweep, error) {
 		ctx = obs.ContextWith(ctx, root.Context())
 	}
 
-	sw, err := s.coord.Start(ctx, id, req)
-	if err != nil {
-		if root != nil {
-			root.SetError(err.Error())
-			root.End()
-		}
-		return nil, err
-	}
+	sw := s.coord.Start(ctx, id, req, points)
 	if root != nil {
 		root.SetAttr("points", fmt.Sprint(sw.Total()))
 		go func() {
@@ -203,12 +159,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw, err := s.StartSweep(req)
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	if err != nil {
+		refuse(w, err)
 		return
 	}
 

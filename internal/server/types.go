@@ -68,15 +68,12 @@ type JobStatus struct {
 // job is the server-side record. All mutable fields are guarded by the
 // owning Server's mutex; done is closed exactly once at completion.
 type job struct {
-	id   string
-	key  string
-	spec sim.Spec
-	cfg  sim.Config
+	request
+	id string
 
 	state     State
 	cached    bool
 	coalesced bool
-	trace     bool
 	stolen    bool
 	err       string
 	result    []byte             // marshaled Result JSON, byte-identical across cache hits
@@ -109,7 +106,7 @@ func (j *job) status() JobStatus {
 		State:       j.state,
 		Cached:      j.cached,
 		Coalesced:   j.coalesced,
-		Traced:      j.trace,
+		Traced:      j.spec.Trace,
 		Stolen:      j.stolen,
 		Error:       j.err,
 		SubmittedAt: j.submittedAt,

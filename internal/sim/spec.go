@@ -75,8 +75,8 @@ type Spec struct {
 	// functional warming at the default schedule (docs/SAMPLING.md).
 	// The two modes of one spec never share a cache key.
 	Mode string `json:"mode,omitempty"`
-	// Replicas merges that many independent sampled replicas (requires
-	// mode "sampled"; default 1).
+	// Replicas merges that many independent sampled replicas (default 1,
+	// at most MaxReplicas in every mode; above 1 requires mode "sampled").
 	Replicas int `json:"replicas,omitempty"`
 	// Trace captures a telemetry event trace alongside the result
 	// (docs/TELEMETRY.md), retrievable from GET /v1/traces/{id}. Requires
@@ -192,6 +192,9 @@ func (s Spec) Config() (Config, error) {
 		tc.MaxRun = tc.BaseRun * 4
 		cfg.Tuner = tc
 	}
+	if s.Replicas < 0 || s.Replicas > MaxReplicas {
+		return Config{}, fmt.Errorf("replicas %d outside [0, %d]", s.Replicas, MaxReplicas)
+	}
 	switch s.Mode {
 	case "", "detailed":
 		if s.Replicas > 1 {
@@ -199,9 +202,6 @@ func (s Spec) Config() (Config, error) {
 		}
 	case "sampled":
 		cfg.Sampling = DefaultSampling()
-		if s.Replicas < 0 {
-			return Config{}, fmt.Errorf("negative replicas %d", s.Replicas)
-		}
 		if s.Replicas > 0 {
 			cfg.Sampling.Replicas = s.Replicas
 		}
