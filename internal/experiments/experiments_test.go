@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -319,6 +320,26 @@ func TestPredictorSizing(t *testing.T) {
 	r.Render(&buf)
 	if !strings.Contains(buf.String(), "unbounded") {
 		t.Error("render missing reference row")
+	}
+	// The rows are pinned bit for bit, so a change to how predictions
+	// are scored shows as a changed number.
+	for _, row := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"Exact", r.Exact, []float64{0.023255813953488372, 0.12790697674418605, 0.47674418604651164, 0.47674418604651164, 0.47674418604651164, 0.47674418604651164}},
+		{"Within5", r.Within5, []float64{0.011627906976744186, 0.023255813953488372, 0.18604651162790697, 0.18604651162790697, 0.18604651162790697, 0.18604651162790697}},
+		{"BinaryAt500", r.BinaryAt500, []float64{0.4418604651162791, 0.4883720930232558, 0.7558139534883721, 0.7558139534883721, 0.7558139534883721, 0.7558139534883721}},
+	} {
+		if len(row.got) != len(row.want) {
+			t.Errorf("%s: %d rows, want %d", row.name, len(row.got), len(row.want))
+			continue
+		}
+		for i := range row.want {
+			if math.Float64bits(row.got[i]) != math.Float64bits(row.want[i]) {
+				t.Errorf("%s[%d entries] = %v, want %v", row.name, r.Entries[i], row.got[i], row.want[i])
+			}
+		}
 	}
 }
 

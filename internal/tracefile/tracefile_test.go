@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -150,23 +151,52 @@ func TestCaptureAndSummarize(t *testing.T) {
 
 func TestReplayAgainstPredictor(t *testing.T) {
 	buf := captureApache(t, 2_000_000)
-	rep, err := Replay(NewReader(bytes.NewReader(buf.Bytes())), core.NewCAMPredictor(core.DefaultCAMEntries), 500)
-	if err != nil {
-		t.Fatal(err)
+	// The reports are pinned field by field, floats bit for bit, so a
+	// change to how predictions are scored shows as a changed number.
+	cases := []struct {
+		name string
+		pred core.Predictor
+		want ReplayReport
+	}{
+		{"cam-200", core.NewCAMPredictor(core.DefaultCAMEntries), ReplayReport{
+			Entries: 3833, Syscalls: 384, Traps: 3449,
+			Exact: 0.6223958333333334, Within5: 0.13541666666666666,
+			BinaryAccuracy: 0.8619791666666666, OffloadRate: 0.05530915731802766,
+		}},
+		{"dm-1500", core.NewDirectMappedPredictor(core.DefaultDirectMappedEntries), ReplayReport{
+			Entries: 3833, Syscalls: 384, Traps: 3449,
+			Exact: 0.5963541666666666, Within5: 0.11197916666666667,
+			BinaryAccuracy: 0.8359375, OffloadRate: 0.055048265066527526,
+		}},
 	}
-	if rep.Entries != rep.Syscalls+rep.Traps {
-		t.Fatal("entry split inconsistent")
-	}
-	if rep.BinaryAccuracy < 0.80 {
-		t.Fatalf("replay binary accuracy %v too low", rep.BinaryAccuracy)
-	}
-	if rep.OffloadRate <= 0 || rep.OffloadRate >= 1 {
-		t.Fatalf("offload rate %v implausible", rep.OffloadRate)
-	}
-	if rep.Exact+rep.Within5 < 0.5 {
-		t.Fatalf("replay run-length accuracy %v too low", rep.Exact+rep.Within5)
+	for _, c := range cases {
+		rep, err := Replay(NewReader(bytes.NewReader(buf.Bytes())), c.pred, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Entries != rep.Syscalls+rep.Traps {
+			t.Fatalf("%s: entry split inconsistent", c.name)
+		}
+		if rep.BinaryAccuracy < 0.80 {
+			t.Fatalf("%s: replay binary accuracy %v too low", c.name, rep.BinaryAccuracy)
+		}
+		if rep.OffloadRate <= 0 || rep.OffloadRate >= 1 {
+			t.Fatalf("%s: offload rate %v implausible", c.name, rep.OffloadRate)
+		}
+		if rep.Exact+rep.Within5 < 0.5 {
+			t.Fatalf("%s: replay run-length accuracy %v too low", c.name, rep.Exact+rep.Within5)
+		}
+		w := c.want
+		if rep.Entries != w.Entries || rep.Syscalls != w.Syscalls || rep.Traps != w.Traps ||
+			!sameFloat(rep.Exact, w.Exact) || !sameFloat(rep.Within5, w.Within5) ||
+			!sameFloat(rep.BinaryAccuracy, w.BinaryAccuracy) || !sameFloat(rep.OffloadRate, w.OffloadRate) {
+			t.Errorf("%s: report\n got %+v\nwant %+v", c.name, rep, w)
+		}
 	}
 }
+
+// sameFloat compares two floats bit for bit.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func TestReplayEmptyTraceFails(t *testing.T) {
 	var buf bytes.Buffer
