@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"offloadsim"
+	"offloadsim/internal/telemetry"
 )
 
 // run is a parsed offsim command line: the simulation's config and the
@@ -67,7 +68,7 @@ func parseArgs(args []string) (run, error) {
 	fs.StringVar(&r.traceFile, "trace", "", "write a telemetry event trace of the measured phase to this file (docs/TELEMETRY.md)")
 	fs.StringVar(&r.traceFmt, "trace-format", "chrome", "trace file format: chrome (Perfetto-loadable) or jsonl")
 	fs.StringVar(&r.seriesFile, "timeseries", "", "write the interval time-series to this CSV file")
-	fs.Uint64Var(&r.traceIval, "trace-interval", 50_000, "time-series sampling cadence in retired instructions (with -timeseries)")
+	fs.Uint64Var(&r.traceIval, "trace-interval", telemetry.DefaultIntervalInstrs, "time-series sampling cadence in retired instructions (with -timeseries)")
 	fs.IntVar(&spec.OSCores, "os-cores", 1, "OS cores in the off-load cluster (docs/OSCORES.md)")
 	fs.StringVar(&spec.Affinity, "affinity", "", "syscall-class affinity map, e.g. 'file=0,network=1,*=0' (requires -os-cores > 1)")
 	fs.StringVar(&spec.Asymmetry, "asymmetry", "", "per-OS-core speed factors, e.g. '1,0.5' (big/little cluster)")

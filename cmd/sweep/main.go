@@ -31,6 +31,7 @@ import (
 
 	"offloadsim"
 	"offloadsim/internal/cluster"
+	"offloadsim/internal/telemetry"
 )
 
 // Row is one sweep result in export form: the fleet's sweep row plus
@@ -85,7 +86,7 @@ func parseArgs(args []string) (*plan, error) {
 	fs.StringVar(&pl.cpuProfile, "cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
 	fs.StringVar(&pl.memProfile, "memprofile", "", "write an end-of-sweep heap profile to this file (pprof format)")
 	fs.StringVar(&pl.telemetryDir, "telemetry-dir", "", "write a per-point interval time-series CSV into this directory (docs/TELEMETRY.md; incompatible with -sampled)")
-	fs.Uint64Var(&pl.telemetryIval, "telemetry-interval", 50_000, "time-series sampling cadence in retired instructions (with -telemetry-dir)")
+	fs.Uint64Var(&pl.telemetryIval, "telemetry-interval", telemetry.DefaultIntervalInstrs, "time-series sampling cadence in retired instructions (with -telemetry-dir)")
 	osCores := fs.String("os-cores", "1", "comma-separated OS-core cluster sizes as a sweep axis (docs/OSCORES.md)")
 	fs.StringVar(&pl.osc.Affinity, "affinity", "", "syscall-class affinity map applied to every sweep point, e.g. 'file=0,*=1'")
 	fs.StringVar(&pl.osc.Asymmetry, "asymmetry", "", "per-OS-core speed factors applied to every sweep point, e.g. '1,0.5'")

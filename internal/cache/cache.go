@@ -106,11 +106,6 @@ type Stats struct {
 	Backinvals stats.Counter // invalidations arriving from coherence
 }
 
-// HitRate returns hits/accesses.
-func (s *Stats) HitRate() float64 {
-	return stats.Ratio(s.Hits.Value(), s.Accesses.Value())
-}
-
 // Reset clears all counters (used at epoch boundaries by the tuner).
 func (s *Stats) Reset() {
 	s.Accesses.Reset()

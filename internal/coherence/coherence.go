@@ -189,20 +189,11 @@ func MustNew(cfg Config) *System {
 	return s
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// NumNodes returns the node count.
-func (s *System) NumNodes() int { return s.cfg.NumNodes }
-
 // L2 exposes node n's L2 array (for stats collection and tests).
 func (s *System) L2(n int) *cache.Cache { return s.l2s[n] }
 
 // Memory exposes the backing store (for stats).
 func (s *System) Memory() *memory.Memory { return s.mem }
-
-// Fabric exposes the interconnect (for stats).
-func (s *System) Fabric() *interconnect.Fabric { return s.fabric }
 
 // RegisterL1Hook attaches a back-invalidation callback for node. Whenever a
 // line leaves node's L2 (eviction or coherence invalidation), every hook on
@@ -215,14 +206,6 @@ func (s *System) backInvalidate(node int, lineAddr uint64) {
 	for _, h := range s.l1Hooks[node] {
 		h(lineAddr)
 	}
-}
-
-// LineBytes returns the coherence granularity.
-func (s *System) LineBytes() int { return s.cfg.L2.LineBytes }
-
-// LineAddr converts a byte address to a line address.
-func (s *System) LineAddr(addr uint64) uint64 {
-	return s.l2s[0].LineAddr(addr)
 }
 
 func (s *System) entry(lineAddr uint64) *dirEntry {

@@ -1,7 +1,5 @@
 package core
 
-import "offloadsim/internal/stats"
-
 // Decision is the binary off-load verdict derived from a run-length
 // prediction (§III: "a system call will be off-loaded if it is expected to
 // last longer than a specified threshold, N cycles").
@@ -12,14 +10,16 @@ type Decision struct {
 }
 
 // Engine couples a Predictor with a threshold to produce single-cycle
-// off-load decisions, and keeps the books needed to reproduce Figure 3
-// (binary decision accuracy per threshold).
+// off-load decisions, and scores every decision once, in two books: All
+// covers every OS entry, and Syscalls covers system calls only, the
+// population §IV reports (the SPARC register-window traps would skew it).
+// Each book gives the §III-A run-length accuracy and Figure 3's binary
+// decision accuracy.
 type Engine struct {
 	pred      Predictor
 	threshold int
 
-	binTotal   stats.Counter
-	binCorrect stats.Counter
+	All, Syscalls Accuracy
 }
 
 // NewEngine wraps pred with an initial threshold n.
@@ -50,29 +50,18 @@ func (e *Engine) Decide(astate uint64) Decision {
 	}
 }
 
-// Train feeds the observed run length back and scores the binary decision
-// the engine made for this invocation against the decision an oracle with
-// the same threshold would have made.
-func (e *Engine) Train(astate uint64, d Decision, actual int) {
+// Train feeds back the observed run length of the entry that Decide
+// returned d for. It scores d in All, and also in Syscalls when the entry
+// is a system call; the binary verdict is checked against an oracle at
+// the current threshold.
+func (e *Engine) Train(astate uint64, d Decision, actual int, syscall bool) {
 	e.pred.Update(astate, actual)
-	e.binTotal.Inc()
-	if d.Offload == (actual > e.threshold) {
-		e.binCorrect.Inc()
+	hit := d.Offload == (actual > e.threshold)
+	e.All.record(d.Predicted, actual, hit)
+	if syscall {
+		e.Syscalls.record(d.Predicted, actual, hit)
 	}
 }
 
-// BinaryAccuracy returns the fraction of invocations whose off-load/stay
-// decision matched the oracle (Figure 3's metric).
-func (e *Engine) BinaryAccuracy() float64 {
-	return stats.Ratio(e.binCorrect.Value(), e.binTotal.Value())
-}
-
-// BinaryDecisions returns the number of scored decisions.
-func (e *Engine) BinaryDecisions() uint64 { return e.binTotal.Value() }
-
-// ResetBinaryAccuracy clears the Figure 3 accounting (used when sweeping
-// thresholds over one trace).
-func (e *Engine) ResetBinaryAccuracy() {
-	e.binTotal.Reset()
-	e.binCorrect.Reset()
-}
+// ResetBooks clears both books; the predictor keeps its training.
+func (e *Engine) ResetBooks() { e.All, e.Syscalls = Accuracy{}, Accuracy{} }

@@ -64,8 +64,6 @@ type Predictor interface {
 	// Update trains the predictor with the observed run length after the
 	// invocation retires.
 	Update(astate uint64, actual int)
-	// Accuracy exposes the running accuracy accounting.
-	Accuracy() *Accuracy
 	// StorageBits returns the hardware storage cost of the organization,
 	// in bits, for reporting against the paper's ~2 KB claim.
 	StorageBits() int
@@ -115,26 +113,25 @@ func (g *global) predict() int {
 	return sum / g.n
 }
 
-// Accuracy tracks the prediction-quality numbers reported in §III-A
-// (73.6% exact, +24.8% within ±5%) and the per-threshold binary decision
-// accuracy of Figure 3.
+// Accuracy is one book of the prediction-quality numbers reported in
+// §III-A (73.6% exact, +24.8% within ±5%) and of Figure 3's binary
+// decision accuracy at the engine's threshold. Engine keeps the books.
 type Accuracy struct {
 	predictions stats.Counter
 	exact       stats.Counter
 	within5     stats.Counter
 	underShoot  stats.Counter // mispredictions that underestimated
 	overShoot   stats.Counter // mispredictions that overestimated
+	binaryHits  stats.Counter // off-load/stay verdicts an oracle agrees with
 }
 
-// Record scores one (predicted, actual) pair. It is exported so policy
-// wrappers can keep population-filtered accuracy books (§IV omits the
-// SPARC register-window invocations from reported statistics where they
-// would skew results; the sim reports syscall-only accuracy through this
-// hook).
-func (a *Accuracy) Record(predicted, actual int) { a.record(predicted, actual) }
-
-func (a *Accuracy) record(predicted, actual int) {
+// record scores one (predicted, actual) pair and whether its off-load
+// verdict matched the oracle's.
+func (a *Accuracy) record(predicted, actual int, binaryHit bool) {
 	a.predictions.Inc()
+	if binaryHit {
+		a.binaryHits.Inc()
+	}
 	switch {
 	case predicted == actual:
 		a.exact.Inc()
@@ -172,8 +169,11 @@ func (a *Accuracy) UnderShootShare() float64 {
 	return stats.Ratio(a.underShoot.Value(), a.underShoot.Value()+a.overShoot.Value())
 }
 
-// Reset clears the accounting.
-func (a *Accuracy) Reset() { *a = Accuracy{} }
+// BinaryRate returns the fraction of off-load/stay verdicts that matched
+// an oracle with the same threshold (Figure 3's metric).
+func (a *Accuracy) BinaryRate() float64 {
+	return stats.Ratio(a.binaryHits.Value(), a.predictions.Value())
+}
 
 // camEntry is one fully-associative predictor entry.
 type camEntry struct {
@@ -192,11 +192,6 @@ type CAMPredictor struct {
 	index   map[uint64]int // astate -> entry slot, the CAM match function
 	gen     uint64
 	global  global
-	acc     Accuracy
-
-	// pending remembers the last prediction per astate so Update can
-	// score it; hardware keeps this in the invocation's context.
-	pending map[uint64]int
 }
 
 // DefaultCAMEntries is the paper's table size, chosen as "close to optimal
@@ -212,37 +207,26 @@ func NewCAMPredictor(entries int) *CAMPredictor {
 	return &CAMPredictor{
 		entries: make([]camEntry, entries),
 		index:   make(map[uint64]int, entries),
-		pending: make(map[uint64]int),
 	}
 }
 
 // Predict implements Predictor.
 func (p *CAMPredictor) Predict(astate uint64) Prediction {
-	var pred Prediction
 	if slot, ok := p.index[astate]; ok {
 		e := &p.entries[slot]
 		p.gen++
 		e.lastUse = p.gen
 		if e.conf > 0 {
-			pred = Prediction{Length: e.length, Source: LocalPrediction}
-		} else {
-			// Low confidence: the global average of the last three
-			// invocations is the better estimate (§III-A).
-			pred = Prediction{Length: p.global.predict(), Source: GlobalPrediction}
+			return Prediction{Length: e.length, Source: LocalPrediction}
 		}
-	} else {
-		pred = Prediction{Length: p.global.predict(), Source: GlobalPrediction}
+		// Low confidence: the global average of the last three
+		// invocations is the better estimate (§III-A).
 	}
-	p.pending[astate] = pred.Length
-	return pred
+	return Prediction{Length: p.global.predict(), Source: GlobalPrediction}
 }
 
 // Update implements Predictor.
 func (p *CAMPredictor) Update(astate uint64, actual int) {
-	if predicted, ok := p.pending[astate]; ok {
-		p.acc.record(predicted, actual)
-		delete(p.pending, astate)
-	}
 	p.global.observe(actual)
 
 	if slot, ok := p.index[astate]; ok {
@@ -285,9 +269,6 @@ func (p *CAMPredictor) Update(astate uint64, actual int) {
 	p.index[astate] = victim
 }
 
-// Accuracy implements Predictor.
-func (p *CAMPredictor) Accuracy() *Accuracy { return &p.acc }
-
 // StorageBits implements Predictor: 64-bit AState tag + 16-bit length +
 // 2-bit confidence per entry. 200 entries ≈ 2 KB, matching §III-A.
 func (p *CAMPredictor) StorageBits() int {
@@ -296,20 +277,6 @@ func (p *CAMPredictor) StorageBits() int {
 
 // Entries returns the configured entry count.
 func (p *CAMPredictor) Entries() int { return len(p.entries) }
-
-// Occupancy returns the number of valid entries (diagnostics).
-func (p *CAMPredictor) Occupancy() int { return len(p.index) }
-
-// Peek returns the stored entry for astate without touching replacement
-// state (diagnostics).
-func (p *CAMPredictor) Peek(astate uint64) (length int, conf uint8, ok bool) {
-	slot, ok := p.index[astate]
-	if !ok {
-		return 0, 0, false
-	}
-	e := &p.entries[slot]
-	return e.length, e.conf, true
-}
 
 // dmEntry is one direct-mapped, tag-less entry.
 type dmEntry struct {
@@ -325,8 +292,6 @@ type dmEntry struct {
 type DirectMappedPredictor struct {
 	entries []dmEntry
 	global  global
-	acc     Accuracy
-	pending map[uint64]int
 }
 
 // DefaultDirectMappedEntries is the paper's direct-mapped table size.
@@ -338,10 +303,7 @@ func NewDirectMappedPredictor(entries int) *DirectMappedPredictor {
 	if entries < 1 {
 		panic(fmt.Sprintf("core: direct-mapped predictor needs >= 1 entry, got %d", entries))
 	}
-	return &DirectMappedPredictor{
-		entries: make([]dmEntry, entries),
-		pending: make(map[uint64]int),
-	}
+	return &DirectMappedPredictor{entries: make([]dmEntry, entries)}
 }
 
 func (p *DirectMappedPredictor) slot(astate uint64) *dmEntry {
@@ -350,23 +312,14 @@ func (p *DirectMappedPredictor) slot(astate uint64) *dmEntry {
 
 // Predict implements Predictor.
 func (p *DirectMappedPredictor) Predict(astate uint64) Prediction {
-	e := p.slot(astate)
-	var pred Prediction
-	if e.valid && e.conf > 0 {
-		pred = Prediction{Length: e.length, Source: LocalPrediction}
-	} else {
-		pred = Prediction{Length: p.global.predict(), Source: GlobalPrediction}
+	if e := p.slot(astate); e.valid && e.conf > 0 {
+		return Prediction{Length: e.length, Source: LocalPrediction}
 	}
-	p.pending[astate] = pred.Length
-	return pred
+	return Prediction{Length: p.global.predict(), Source: GlobalPrediction}
 }
 
 // Update implements Predictor.
 func (p *DirectMappedPredictor) Update(astate uint64, actual int) {
-	if predicted, ok := p.pending[astate]; ok {
-		p.acc.record(predicted, actual)
-		delete(p.pending, astate)
-	}
 	p.global.observe(actual)
 	e := p.slot(astate)
 	if e.valid {
@@ -383,9 +336,6 @@ func (p *DirectMappedPredictor) Update(astate uint64, actual int) {
 	// Same weak-confidence allocation as the CAM organization.
 	*e = dmEntry{length: actual, conf: 2, valid: true}
 }
-
-// Accuracy implements Predictor.
-func (p *DirectMappedPredictor) Accuracy() *Accuracy { return &p.acc }
 
 // StorageBits implements Predictor: tag-less, 16-bit length + 2-bit
 // confidence per entry; 1500 entries ≈ 3.3 KB.

@@ -165,13 +165,11 @@ func TestAccuracyAccounting(t *testing.T) {
 	// Build a confident entry at 1000.
 	p.Update(7, 1000)
 	p.Update(7, 1000)
-	p.Predict(7)
-	p.Update(7, 1000) // exact
-	p.Predict(7)
-	p.Update(7, 1020) // within 5%
-	p.Predict(7)
-	p.Update(7, 5000) // miss, undershoot
-	acc := p.Accuracy()
+	e := NewEngine(p, 500)
+	e.Train(7, e.Decide(7), 1000, true) // exact
+	e.Train(7, e.Decide(7), 1020, true) // within 5%
+	e.Train(7, e.Decide(7), 5000, true) // miss, undershoot
+	acc := &e.Syscalls
 	if acc.Predictions() != 3 {
 		t.Fatalf("predictions = %d, want 3", acc.Predictions())
 	}
@@ -208,20 +206,24 @@ func TestEngineDecision(t *testing.T) {
 func TestEngineBinaryAccuracy(t *testing.T) {
 	p := NewCAMPredictor(8)
 	e := NewEngine(p, 500)
-	// Train a stable long syscall; decisions should converge to correct.
+	// Train a stable long entry, a system call every other time;
+	// decisions should converge to correct.
 	const astate = 3
 	for i := 0; i < 20; i++ {
 		d := e.Decide(astate)
-		e.Train(astate, d, 2000)
+		e.Train(astate, d, 2000, i%2 == 0)
 	}
-	if acc := e.BinaryAccuracy(); acc < 0.9 {
+	if acc := e.All.BinaryRate(); acc < 0.9 {
 		t.Fatalf("binary accuracy on a stable stream = %v, want >= 0.9", acc)
 	}
-	if e.BinaryDecisions() != 20 {
-		t.Fatalf("decisions = %d", e.BinaryDecisions())
+	if e.All.Predictions() != 20 {
+		t.Fatalf("decisions = %d", e.All.Predictions())
 	}
-	e.ResetBinaryAccuracy()
-	if e.BinaryDecisions() != 0 {
+	if e.Syscalls.Predictions() != 10 {
+		t.Fatalf("syscall decisions = %d, want 10", e.Syscalls.Predictions())
+	}
+	e.ResetBooks()
+	if e.All.Predictions() != 0 || e.Syscalls.Predictions() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -230,7 +232,7 @@ func TestPredictorAccuracyOnSyntheticMix(t *testing.T) {
 	// A mixture of mostly-deterministic AStates should produce the high
 	// exact+within5 accuracy the paper reports (73.6% + 24.8%).
 	src := rng.New(99)
-	p := NewCAMPredictor(DefaultCAMEntries)
+	e := NewEngine(NewCAMPredictor(DefaultCAMEntries), 0)
 	lengths := map[uint64]int{}
 	for i := 0; i < 50; i++ {
 		lengths[uint64(i+1)] = 50 + 400*i
@@ -242,10 +244,9 @@ func TestPredictorAccuracyOnSyntheticMix(t *testing.T) {
 		if src.Bool(0.2) { // 20% jitter within ±5%
 			actual = int(float64(nominal) * (0.95 + 0.1*src.Float64()))
 		}
-		p.Predict(a)
-		p.Update(a, actual)
+		e.Train(a, e.Decide(a), actual, true)
 	}
-	acc := p.Accuracy()
+	acc := &e.Syscalls
 	good := acc.ExactRate() + acc.Within5Rate()
 	if good < 0.90 {
 		t.Fatalf("exact+within5 = %v, want >= 0.90 on a mostly-deterministic mix", good)

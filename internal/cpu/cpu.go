@@ -270,9 +270,6 @@ func (c *Core) SetWarming(on bool, stride int) {
 	c.warmStride = stride
 }
 
-// Warming reports whether the core is in functional-warming mode.
-func (c *Core) Warming() bool { return c.warming }
-
 // warmSegment is the functional-warming counterpart of RunSegment:
 // references are issued in bulk with a stride to keep cache, directory
 // and recency state alive, and no per-instruction work happens. Cycle

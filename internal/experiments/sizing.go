@@ -47,36 +47,20 @@ func PredictorSizing(o Options) PredictorSizingResult {
 		eng := core.NewEngine(core.NewCAMPredictor(entries), 500)
 		var instrs uint64
 		warm := budget / 3
-		var scored, exact, within5, binOK uint64
 		for instrs < budget {
 			seg := gen.Next()
 			instrs += uint64(seg.Instrs)
 			if !seg.IsOS() {
 				continue
 			}
-			d := eng.Decide(seg.AState)
-			eng.Train(seg.AState, d, seg.Instrs)
-			if instrs < warm || seg.Kind != trace.SyscallSegment {
-				continue
-			}
-			scored++
-			diff := d.Predicted - seg.Instrs
-			if diff < 0 {
-				diff = -diff
-			}
-			switch {
-			case diff == 0:
-				exact++
-			case diff*20 <= seg.Instrs:
-				within5++
-			}
-			if d.Offload == (seg.Instrs > 500) {
-				binOK++
+			eng.Train(seg.AState, eng.Decide(seg.AState), seg.Instrs, seg.Kind == trace.SyscallSegment)
+			if instrs < warm {
+				eng.ResetBooks() // warm-up entries train the table unscored
 			}
 		}
-		res.Exact = append(res.Exact, float64(exact)/float64(scored))
-		res.Within5 = append(res.Within5, float64(within5)/float64(scored))
-		res.BinaryAt500 = append(res.BinaryAt500, float64(binOK)/float64(scored))
+		res.Exact = append(res.Exact, eng.Syscalls.ExactRate())
+		res.Within5 = append(res.Within5, eng.Syscalls.Within5Rate())
+		res.BinaryAt500 = append(res.BinaryAt500, eng.Syscalls.BinaryRate())
 	}
 	return res
 }

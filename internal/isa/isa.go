@@ -154,6 +154,3 @@ func (r *RegFile) Restore() WindowEvent {
 	r.CanSave++
 	return WindowOK
 }
-
-// WindowsInUse returns the number of occupied windows, for diagnostics.
-func (r *RegFile) WindowsInUse() int { return r.CanRestore }

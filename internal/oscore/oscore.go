@@ -146,10 +146,6 @@ func Scale(cycles uint64, speed float64) uint64 {
 	return scaled
 }
 
-// AsyncSlots returns the per-user async return-slot budget (0 = sync
-// only).
-func (c *Cluster) AsyncSlots() int { return c.slots }
-
 // SlotFree reports whether user core u may issue another fire-and-forget
 // off-load without waiting.
 func (c *Cluster) SlotFree(u int) bool {

@@ -53,24 +53,17 @@ func TestOracleThresholdPlumbing(t *testing.T) {
 }
 
 func TestOracleViaFactory(t *testing.T) {
-	p, err := New(Oracle, 0, 500, DefaultOverheads())
+	p, err := New(Oracle, 0, 500, DefaultOverheads(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind() != Oracle {
 		t.Fatalf("factory built %v", p.Kind())
 	}
-	// Predictor accessors must handle the oracle gracefully.
+	// The engine accessor must handle the oracle gracefully.
 	if Engine(p) != nil {
 		t.Fatal("oracle has no engine")
 	}
-	if SyscallAccuracy(p) != nil {
-		t.Fatal("oracle has no accuracy books")
-	}
-	if _, ok := SyscallBinaryAccuracy(p); ok {
-		t.Fatal("oracle has no binary accuracy")
-	}
-	ResetAccuracyBooks(p) // no-op, must not panic
 }
 
 func TestKindStringIncludesOracle(t *testing.T) {

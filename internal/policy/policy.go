@@ -230,14 +230,6 @@ type predictorPolicy struct {
 	engine   *core.Engine
 	overhead int
 	stats    Stats
-
-	// Syscall-only accuracy books. §IV notes the SPARC-specific
-	// spill/fill invocations are omitted from reported statistics where
-	// they would skew results; these counters score system calls only,
-	// while the engine's own accounting covers every OS entry.
-	sysAcc        core.Accuracy
-	sysBinTotal   stats.Counter
-	sysBinCorrect stats.Counter
 }
 
 // NewDynamic builds DI: the software twin of the hardware engine. It
@@ -274,72 +266,21 @@ func (p *predictorPolicy) Decide(seg *trace.Segment) Decision {
 }
 
 func (p *predictorPolicy) Observe(seg *trace.Segment, d Decision, actual int) {
-	p.engine.Train(seg.AState, core.Decision{Offload: d.Offload, Predicted: d.Predicted}, actual)
-	if seg.Kind == trace.SyscallSegment {
-		p.sysAcc.Record(d.Predicted, actual)
-		p.sysBinTotal.Inc()
-		if d.Offload == (actual > p.engine.Threshold()) {
-			p.sysBinCorrect.Inc()
-		}
-	}
-}
-
-// SyscallAccuracy returns the run-length accuracy over system calls only
-// (window traps excluded, per §IV's reporting convention).
-func (p *predictorPolicy) SyscallAccuracy() *core.Accuracy { return &p.sysAcc }
-
-// SyscallBinaryAccuracy returns the syscall-only binary decision hit rate
-// (Figure 3's metric).
-func (p *predictorPolicy) SyscallBinaryAccuracy() float64 {
-	return stats.Ratio(p.sysBinCorrect.Value(), p.sysBinTotal.Value())
-}
-
-// resetSyscallBooks clears the syscall-only accounting (warmup boundary).
-func (p *predictorPolicy) resetSyscallBooks() {
-	p.sysAcc.Reset()
-	p.sysBinTotal.Reset()
-	p.sysBinCorrect.Reset()
+	p.engine.Train(seg.AState, core.Decision{Offload: d.Offload, Predicted: d.Predicted},
+		actual, seg.Kind == trace.SyscallSegment)
 }
 
 func (p *predictorPolicy) Threshold() int     { return p.engine.Threshold() }
 func (p *predictorPolicy) SetThreshold(n int) { p.engine.SetThreshold(n) }
 func (p *predictorPolicy) Stats() *Stats      { return &p.stats }
 
-// Engine exposes the underlying prediction engine of DI/HI policies for
-// accuracy reporting; it returns nil for other kinds.
+// Engine exposes the prediction engine of DI/HI policies, whose books
+// hold their accuracy; it returns nil for other kinds.
 func Engine(p Policy) *core.Engine {
 	if pp, ok := p.(*predictorPolicy); ok {
 		return pp.engine
 	}
 	return nil
-}
-
-// SyscallAccuracy exposes the syscall-only accuracy books of DI/HI
-// policies (nil for other kinds).
-func SyscallAccuracy(p Policy) *core.Accuracy {
-	if pp, ok := p.(*predictorPolicy); ok {
-		return pp.SyscallAccuracy()
-	}
-	return nil
-}
-
-// SyscallBinaryAccuracy returns the syscall-only binary hit rate; the
-// bool reports whether p tracks one.
-func SyscallBinaryAccuracy(p Policy) (float64, bool) {
-	if pp, ok := p.(*predictorPolicy); ok {
-		return pp.SyscallBinaryAccuracy(), true
-	}
-	return 0, false
-}
-
-// ResetAccuracyBooks clears per-measurement accuracy accounting on DI/HI
-// policies (no-op otherwise); predictor training state is preserved.
-func ResetAccuracyBooks(p Policy) {
-	if pp, ok := p.(*predictorPolicy); ok {
-		pp.resetSyscallBooks()
-		pp.engine.ResetBinaryAccuracy()
-		pp.engine.Predictor().Accuracy().Reset()
-	}
 }
 
 // oracle decides on the true run length: what a perfect single-cycle
@@ -365,9 +306,10 @@ func (o *oracle) Threshold() int                        { return o.threshold }
 func (o *oracle) SetThreshold(n int)                    { o.threshold = n }
 func (o *oracle) Stats() *Stats                         { return &o.stats }
 
-// New constructs a policy of the given kind with standard components: a
-// fresh 200-entry CAM for predictor-based kinds.
-func New(kind Kind, migrationLatency, threshold int, ov Overheads) (Policy, error) {
+// New constructs a policy of the given kind with standard components:
+// predictor-based kinds get a fresh 200-entry CAM, or the 1500-entry
+// direct-mapped table when directMapped is set.
+func New(kind Kind, migrationLatency, threshold int, ov Overheads, directMapped bool) (Policy, error) {
 	if err := ov.Validate(); err != nil {
 		return nil, err
 	}
@@ -377,11 +319,19 @@ func New(kind Kind, migrationLatency, threshold int, ov Overheads) (Policy, erro
 	case StaticInstrumentation:
 		return NewStatic(migrationLatency, ov), nil
 	case DynamicInstrumentation:
-		return NewDynamic(core.NewCAMPredictor(core.DefaultCAMEntries), threshold, ov), nil
+		return NewDynamic(newPredictor(directMapped), threshold, ov), nil
 	case HardwarePredictor:
-		return NewHardware(core.NewCAMPredictor(core.DefaultCAMEntries), threshold, ov), nil
+		return NewHardware(newPredictor(directMapped), threshold, ov), nil
 	case Oracle:
 		return NewOracle(threshold), nil
 	}
 	return nil, fmt.Errorf("policy: unknown kind %d", int(kind))
+}
+
+// newPredictor builds a table of the paper's size in either organization.
+func newPredictor(directMapped bool) core.Predictor {
+	if directMapped {
+		return core.NewDirectMappedPredictor(core.DefaultDirectMappedEntries)
+	}
+	return core.NewCAMPredictor(core.DefaultCAMEntries)
 }

@@ -138,7 +138,7 @@ func TestEngineAccessor(t *testing.T) {
 
 func TestNewFactory(t *testing.T) {
 	for _, k := range []Kind{Baseline, StaticInstrumentation, DynamicInstrumentation, HardwarePredictor} {
-		p, err := New(k, 5000, 1000, DefaultOverheads())
+		p, err := New(k, 5000, 1000, DefaultOverheads(), false)
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
 		}
@@ -146,10 +146,10 @@ func TestNewFactory(t *testing.T) {
 			t.Fatalf("New(%v) built %v", k, p.Kind())
 		}
 	}
-	if _, err := New(Kind(99), 0, 0, DefaultOverheads()); err == nil {
+	if _, err := New(Kind(99), 0, 0, DefaultOverheads(), false); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := New(Baseline, 0, 0, Overheads{SI: -1}); err == nil {
+	if _, err := New(Baseline, 0, 0, Overheads{SI: -1}, false); err == nil {
 		t.Fatal("invalid overheads accepted")
 	}
 }

@@ -66,11 +66,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float in [0, 1): the lattice point
 // Uint53()/2^53.
 func (s *Source) Float64() float64 {

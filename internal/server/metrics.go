@@ -87,7 +87,7 @@ func NewMetrics() *Metrics {
 		),
 		simSpeed: newHistogram(
 			// Simulated instructions per wall second; the detailed engine
-			// sits in the millions (BENCH.md), sampled mode far higher.
+			// sits in the millions (BENCH_engine.json), sampled far higher.
 			[]float64{1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8},
 		),
 	}

@@ -203,14 +203,11 @@ func (s *Simulator) collect() Result {
 			// Reported accuracy covers system calls only: §IV omits the
 			// SPARC window-trap invocations from statistics they would
 			// skew. Averaged across cores (same workload class).
-			acc := policy.SyscallAccuracy(u.pol)
-			r.PredictorExact += acc.ExactRate() / float64(len(s.users))
-			r.PredictorWithin5 += acc.Within5Rate() / float64(len(s.users))
-			if ba, ok := policy.SyscallBinaryAccuracy(u.pol); ok {
-				r.BinaryAccuracy += ba / float64(len(s.users))
-			}
-			r.AllEntryExact += eng.Predictor().Accuracy().ExactRate() / float64(len(s.users))
-			r.AllEntryBinaryAccuracy += eng.BinaryAccuracy() / float64(len(s.users))
+			r.PredictorExact += eng.Syscalls.ExactRate() / float64(len(s.users))
+			r.PredictorWithin5 += eng.Syscalls.Within5Rate() / float64(len(s.users))
+			r.BinaryAccuracy += eng.Syscalls.BinaryRate() / float64(len(s.users))
+			r.AllEntryExact += eng.All.ExactRate() / float64(len(s.users))
+			r.AllEntryBinaryAccuracy += eng.All.BinaryRate() / float64(len(s.users))
 			r.Threshold = eng.Threshold()
 		}
 		if u.tun != nil {

@@ -53,15 +53,15 @@ type Sampling struct {
 	// interval sampling with functional warming.
 	Enabled bool
 	// IntervalInstrs is the per-core instruction length of one interval
-	// (default 10,000).
+	// (default 20,000).
 	IntervalInstrs uint64
 	// Ratio measures 1 of every Ratio intervals in full detail; the rest
-	// run in warming mode (default 25).
+	// run in warming mode (default 50).
 	Ratio int
 	// DetailedWarmIntervals is the number of intervals executed at full
 	// detail — but not measured — immediately before each measured
 	// interval, repairing the cache and recency state that strided
-	// warming lets decay (default 2; there is no way to request 0, which
+	// warming lets decay (default 1; there is no way to request 0, which
 	// would measure cold caches).
 	DetailedWarmIntervals int
 	// Warming selects the unsampled-interval execution mode (default
@@ -69,10 +69,10 @@ type Sampling struct {
 	Warming WarmPolicy
 	// WarmStride performs 1 of every WarmStride cache references while
 	// warming, scaling the observed stall back up for clock estimation
-	// (default 8). Stride 1 warms with every reference.
+	// (default 32). Stride 1 warms with every reference.
 	WarmStride int
 	// OSWarmStride is the reference stride of the OS core while warming
-	// (default 2, denser than WarmStride). The OS node's L2 is warmed
+	// (default 8, denser than WarmStride). The OS node's L2 is warmed
 	// only by the minority off-loaded stream, so at the user stride it
 	// would decay faster than any detailed warm-up interval could
 	// repair, systematically slowing off-loaded segments.

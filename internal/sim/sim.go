@@ -392,7 +392,7 @@ func New(cfg Config) (*Simulator, error) {
 			}
 			gen = trace.NewPhased(gens, cfg.PhaseInstrs)
 		}
-		pol, err := s.buildPolicy()
+		pol, err := policy.New(cfg.Policy, cfg.Migration.OneWay, cfg.Threshold, cfg.Overheads, cfg.DirectMappedPredictor)
 		if err != nil {
 			return nil, err
 		}
@@ -474,34 +474,10 @@ func prewarmPolicy(pol policy.Policy, prof *workloads.Profile) {
 			pred.Update(astate, spec.Length(c))
 		}
 	}
-	pred.Accuracy().Reset()
 }
 
 func supportsThreshold(k policy.Kind) bool {
 	return k == policy.DynamicInstrumentation || k == policy.HardwarePredictor || k == policy.Oracle
-}
-
-func (s *Simulator) buildPolicy() (policy.Policy, error) {
-	switch s.cfg.Policy {
-	case policy.Baseline:
-		return policy.NewBaseline(), nil
-	case policy.StaticInstrumentation:
-		return policy.NewStatic(s.cfg.Migration.OneWay, s.cfg.Overheads), nil
-	case policy.DynamicInstrumentation, policy.HardwarePredictor:
-		var pred core.Predictor
-		if s.cfg.DirectMappedPredictor {
-			pred = core.NewDirectMappedPredictor(core.DefaultDirectMappedEntries)
-		} else {
-			pred = core.NewCAMPredictor(core.DefaultCAMEntries)
-		}
-		if s.cfg.Policy == policy.DynamicInstrumentation {
-			return policy.NewDynamic(pred, s.cfg.Threshold, s.cfg.Overheads), nil
-		}
-		return policy.NewHardware(pred, s.cfg.Threshold, s.cfg.Overheads), nil
-	case policy.Oracle:
-		return policy.NewOracle(s.cfg.Threshold), nil
-	}
-	return nil, fmt.Errorf("sim: unknown policy kind %d", int(s.cfg.Policy))
 }
 
 // snapshotEpoch records the state the epoch feedback is measured against.
@@ -705,7 +681,9 @@ func (s *Simulator) resetAfterWarmup() {
 		// Policy decision stats restart; predictor training persists,
 		// as warmed hardware state should.
 		*u.pol.Stats() = policy.Stats{}
-		policy.ResetAccuracyBooks(u.pol)
+		if eng := policy.Engine(u.pol); eng != nil {
+			eng.ResetBooks()
+		}
 		if u.tun != nil {
 			u.tuningEnabled = true
 			u.epochRetired = 0

@@ -149,17 +149,8 @@ func MustNewGenerator(prof *workloads.Profile, coreID int, kernel *KernelLayout,
 	return g
 }
 
-// Profile returns the generator's workload profile.
-func (g *Generator) Profile() *workloads.Profile { return g.prof }
-
-// CoreID returns the owning core's id.
-func (g *Generator) CoreID() int { return g.coreID }
-
 // UserData exposes the private user data region (tests).
 func (g *Generator) UserData() *Region { return g.userData }
-
-// Shared exposes the user/OS shared buffer region (tests).
-func (g *Generator) Shared() *Region { return g.shared }
 
 // Next produces the next segment of the stream. The stream alternates
 // user bursts with the OS activity they trigger: zero or more short traps

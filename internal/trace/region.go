@@ -35,9 +35,6 @@ func (a *AddressSpace) Alloc(lines int) uint64 {
 	return base
 }
 
-// Allocated returns the total line count consumed (diagnostics).
-func (a *AddressSpace) Allocated() uint64 { return a.next }
-
 // Region is a contiguous footprint with a reference-locality model: a
 // Zipf-hot subset absorbs HotFrac of references, and the remainder falls
 // uniformly across the whole range. This reproduces the classic

@@ -33,39 +33,32 @@ type ReplayReport struct {
 // training after each decision exactly as the live hardware would.
 func Replay(r *Reader, pred core.Predictor, n int) (ReplayReport, error) {
 	eng := core.NewEngine(pred, n)
-	var rep ReplayReport
-	var acc core.Accuracy
-	var binOK, offloads uint64
+	var offloads uint64
 	for {
 		rec, err := r.Read()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return rep, err
+			return ReplayReport{}, err
 		}
 		d := eng.Decide(rec.AState)
-		eng.Train(rec.AState, d, rec.Instrs)
-		rep.Entries++
+		eng.Train(rec.AState, d, rec.Instrs, rec.Kind == trace.SyscallSegment)
 		if d.Offload {
 			offloads++
 		}
-		if rec.Kind != trace.SyscallSegment {
-			rep.Traps++
-			continue
-		}
-		rep.Syscalls++
-		acc.Record(d.Predicted, rec.Instrs)
-		if d.Offload == (rec.Instrs > n) {
-			binOK++
-		}
+	}
+	rep := ReplayReport{
+		Entries:        eng.All.Predictions(),
+		Syscalls:       eng.Syscalls.Predictions(),
+		Exact:          eng.Syscalls.ExactRate(),
+		Within5:        eng.Syscalls.Within5Rate(),
+		BinaryAccuracy: eng.Syscalls.BinaryRate(),
 	}
 	if rep.Entries == 0 {
 		return rep, fmt.Errorf("tracefile: empty trace")
 	}
-	rep.Exact = acc.ExactRate()
-	rep.Within5 = acc.Within5Rate()
-	rep.BinaryAccuracy = stats.Ratio(binOK, rep.Syscalls)
+	rep.Traps = rep.Entries - rep.Syscalls
 	rep.OffloadRate = stats.Ratio(offloads, rep.Entries)
 	return rep, nil
 }
